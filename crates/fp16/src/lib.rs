@@ -123,6 +123,39 @@ impl F16 {
         F16(convert::f64_to_f16_bits(x.to_bits()))
     }
 
+    /// Rounds an `f64` to the nearest binary16 value (ties to even) and
+    /// returns it as `f64`: bit for bit `F16::from_f64(x).to_f64()`,
+    /// without the detour through the bit pattern.
+    ///
+    /// Below the overflow threshold 65520 the FPU does the rounding. With
+    /// `e` the binary exponent of `|x|` clamped at binary16's smallest
+    /// normal exponent −14, the constant `c = 1.5·2^(e+42)` has a unit in
+    /// the last place of `2^(e−10)`, binary16's spacing at `|x|` (and
+    /// `2^−24` across the subnormal range). So `|x| + c` rounds to nearest
+    /// even at exactly that spacing, and subtracting `c` back is exact.
+    /// Larger magnitudes overflow to a signed infinity; NaN takes the
+    /// bit-level path, so its payload narrows exactly as in `from_f64`.
+    ///
+    /// ```
+    /// use prescaler_fp16::F16;
+    /// assert_eq!(F16::round_f64(2049.0), 2048.0); // tie to even
+    /// assert_eq!(F16::round_f64(65520.0), f64::INFINITY);
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn round_f64(x: f64) -> f64 {
+        let a = x.abs();
+        if a < 65520.0 {
+            let biased_exp = (a.to_bits() >> 52).max(1023 - 14);
+            let c = f64::from_bits(((biased_exp + 42) << 52) | (1 << 51));
+            ((a + c) - c).copysign(x)
+        } else if a.is_nan() {
+            F16::from_f64(x).to_f64()
+        } else {
+            f64::INFINITY.copysign(x)
+        }
+    }
+
     /// Converts to `f32`. This conversion is exact.
     #[inline]
     #[must_use]

@@ -11,11 +11,19 @@
 //! **bit-identical buffer contents and identical [`OpCounts`]** to
 //! [`crate::interp::run_kernel`].
 //!
-//! Two implementation points matter for the equivalence:
+//! Three implementation points matter for the equivalence:
 //!
 //! * Float registers hold `f64` values that are always exactly
-//!   representable at the operand's static precision, so computing a
-//!   binary16/32 operation by rounding the `f64` inputs is exact.
+//!   representable at the operand's static precision (integer operands
+//!   of float arithmetic are converted at the operation's precision), so
+//!   computing a binary16/32 operation by rounding the `f64` inputs is
+//!   exact. For binary16 `+ - * /` the `f64` result of two binary16
+//!   operands is exact (`+ - *`) or correctly rounded with 53 ≥ 2·11+2
+//!   bits (`/`), so one rounding to binary16 gives the correctly rounded
+//!   result; NaN results take the `F16` operators so payloads match.
+//! * Constants and `get_global_id(d ≥ 2)` live in a launch-bound pool:
+//!   one register per distinct value, written once when a launch binds
+//!   and never the destination of an op.
 //! * Counting is *static per straight-line region*: the compiler
 //!   pre-computes each region's [`OpCounts`] delta and the VM adds it once
 //!   per execution, which is exact because within a region every counted
@@ -45,10 +53,6 @@ enum Op {
     Jump(u32),
     /// Jump when the integer register is zero (false).
     JumpIfFalse { cond: IReg, target: u32 },
-    /// `i[dst] = v`.
-    IConst { dst: IReg, v: i64 },
-    /// `f[dst] = v` (already rounded to the static precision).
-    FConst { dst: FReg, v: f64 },
     /// `i[dst] = i[src]`.
     IMov { dst: IReg, src: IReg },
     /// `f[dst] = f[src]`.
@@ -167,8 +171,9 @@ enum Op {
         a: FReg,
         b: FReg,
     },
-    /// A full dot-product step (`LoadMulAdd` + `LoadMulAdd` + `FMulAcc`);
-    /// the operands live in `dot_table[idx]` so `Op` stays compact.
+    /// A full dot-product step (`LoadMulAdd` + `LoadMulAdd` + `FMulAcc`,
+    /// plus an optional `Cvt` of the sum); the operands live in
+    /// `dot_table[idx]` so `Op` stays compact.
     DotStep { idx: u32 },
     /// `Count` folded into the loop back-edge `IAddImmJump` (the
     /// increment fits in an `i32` whenever this fires).
@@ -179,15 +184,21 @@ enum Op {
         imm: i32,
         target: u32,
     },
+    /// A whole counted dot-product loop (`JumpICmpFalse` to just past the
+    /// loop + `DotStep` + `CountAddJump` back to the compare), run
+    /// natively; the operands live in `loop_table[idx]`.
+    DotLoop { idx: u32 },
 }
 
 /// Operands of a fused [`Op::DotStep`]:
 /// `f[dst] = f[acc] + buf1[i[a1]*i[b1]+i[c1]] * buf2[i[a2]*i[b2]+i[c2]]`
-/// with the product rounded at `pm` and the sum at `pa`.
+/// with the product rounded at `pm`, the sum at `pa`, and the sum then
+/// converted to `post` (`Double`, the identity, when no `Cvt` was folded).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct DotStepArgs {
     pm: Precision,
     pa: Precision,
+    post: Precision,
     dst: FReg,
     acc: FReg,
     buf1: u16,
@@ -198,6 +209,19 @@ struct DotStepArgs {
     a2: IReg,
     b2: IReg,
     c2: IReg,
+}
+
+/// Operands of a fused [`Op::DotLoop`]: while `i[var] op i[end]`, run
+/// `step` (which accumulates in place: its `dst` is its `acc`), tally
+/// count site `count`, and advance `i[var]` by `imm` (wrapping).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct DotLoopArgs {
+    op: CmpOp,
+    var: IReg,
+    end: IReg,
+    step: DotStepArgs,
+    count: u32,
+    imm: i32,
 }
 
 /// How one kernel parameter binds at launch. Scalar parameters carry the
@@ -229,6 +253,10 @@ pub struct CompiledKernel {
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
     dot_table: Vec<DotStepArgs>,
+    loop_table: Vec<DotLoopArgs>,
+    /// Constant pool: registers written once per launch by `bind`.
+    int_pool: Vec<(IReg, i64)>,
+    float_pool: Vec<(FReg, f64)>,
     params: Vec<ParamBind>,
     /// Launch-argument name → scalar slot, resolved once at compile time.
     arg_slots: HashMap<String, u32>,
@@ -341,6 +369,8 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         next_f: 0,
         params: Vec::new(),
         buf_index: HashMap::new(),
+        int_pool: Vec::new(),
+        float_pool: Vec::new(),
     };
 
     let mut arg_slots = HashMap::new();
@@ -396,13 +426,16 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
     c.flush();
     c.ops.push(Op::Halt);
 
-    let mut dot_table = Vec::new();
-    let ops = peephole(c.ops, &mut dot_table);
+    let mut tables = FusionTables::default();
+    let ops = peephole(c.ops, &mut tables);
     Ok(CompiledKernel {
         name: kernel.name.clone(),
         ops,
         counts_table: c.counts_table,
-        dot_table,
+        dot_table: tables.dot,
+        loop_table: tables.loops,
+        int_pool: c.int_pool,
+        float_pool: c.float_pool,
         params: c.params,
         arg_slots,
         n_arg_slots: n_slots,
@@ -422,6 +455,8 @@ struct Compiler<'k> {
     next_f: u32,
     params: Vec<ParamBind>,
     buf_index: HashMap<String, u16>,
+    int_pool: Vec<(IReg, i64)>,
+    float_pool: Vec<(FReg, f64)>,
 }
 
 impl<'k> Compiler<'k> {
@@ -434,6 +469,27 @@ impl<'k> Compiler<'k> {
     fn alloc_f(&mut self) -> FReg {
         let r = self.next_f;
         self.next_f += 1;
+        r
+    }
+
+    /// The pool register holding integer constant `v`.
+    fn int_const(&mut self, v: i64) -> IReg {
+        if let Some(&(r, _)) = self.int_pool.iter().find(|&&(_, c)| c == v) {
+            return r;
+        }
+        let r = self.alloc_i();
+        self.int_pool.push((r, v));
+        r
+    }
+
+    /// The pool register holding float constant `v` (same bit pattern).
+    fn float_const(&mut self, v: f64) -> FReg {
+        let bits = v.to_bits();
+        if let Some(&(r, _)) = self.float_pool.iter().find(|&&(_, c)| c.to_bits() == bits) {
+            return r;
+        }
+        let r = self.alloc_f();
+        self.float_pool.push((r, v));
         r
     }
 
@@ -719,27 +775,15 @@ impl<'k> Compiler<'k> {
         match e {
             Expr::FloatConst(v) => {
                 let p = hint.unwrap_or(Precision::Double);
-                let rounded = match p {
-                    Precision::Half => F16::from_f64(*v).to_f64(),
-                    Precision::Single => f64::from(*v as f32),
-                    Precision::Double => *v,
-                };
-                let dst = self.alloc_f();
-                self.ops.push(Op::FConst { dst, v: rounded });
-                Ok((Val::F(dst), CTy::F(p)))
+                let r = self.float_const(round_to(p, *v));
+                Ok((Val::F(r), CTy::F(p)))
             }
-            Expr::IntConst(v) => {
-                let dst = self.alloc_i();
-                self.ops.push(Op::IConst { dst, v: *v });
-                Ok((Val::I(dst), CTy::Int))
-            }
+            Expr::IntConst(v) => Ok((Val::I(self.int_const(*v)), CTy::Int)),
             Expr::GlobalId(d) => {
                 if *d < 2 {
                     Ok((Val::I(*d as IReg), CTy::Int))
                 } else {
-                    let dst = self.alloc_i();
-                    self.ops.push(Op::IConst { dst, v: 0 });
-                    Ok((Val::I(dst), CTy::Int))
+                    Ok((Val::I(self.int_const(0)), CTy::Int))
                 }
             }
             Expr::Var(name) => self.lookup(name),
@@ -837,8 +881,8 @@ impl<'k> Compiler<'k> {
                     }
                     _ => {
                         let p = promote_cty(ta, tb);
-                        let fa = self.float_operand(a, ta);
-                        let fb = self.float_operand(b, tb);
+                        let fa = self.float_operand(a, ta, p);
+                        let fb = self.float_operand(b, tb, p);
                         let slot = self.pending.at_mut(p);
                         match op {
                             FloatBinOp::Add
@@ -882,8 +926,10 @@ impl<'k> Compiler<'k> {
                     _ => {
                         let p = promote_cty(ta, tb);
                         self.pending.at_mut(p).cmp += 1;
-                        let fa = self.float_operand(a, ta);
-                        let fb = self.float_operand(b, tb);
+                        // Comparisons are exact on the f64 values, so an
+                        // integer operand widens without rounding.
+                        let fa = self.float_operand(a, ta, Precision::Double);
+                        let fb = self.float_operand(b, tb, Precision::Double);
                         let dst = self.alloc_i();
                         self.ops.push(Op::FCmp {
                             op: *op,
@@ -977,15 +1023,18 @@ impl<'k> Compiler<'k> {
     }
 
     /// Materializes an operand as a float register for a promoted binop
-    /// (uncounted, mirroring `Scalar::binop`'s internal widening). Callers
-    /// reject boolean operands before reaching here, so only ints widen.
-    fn float_operand(&mut self, v: Val, t: CTy) -> FReg {
+    /// (uncounted, mirroring `Scalar::binop`'s internal widening): an
+    /// integer converts at the operation's precision `p`, which is the
+    /// rounding the operation itself applies to it, so the register holds
+    /// an exact value of `p`. Callers reject boolean operands before
+    /// reaching here, so only ints widen.
+    fn float_operand(&mut self, v: Val, t: CTy, p: Precision) -> FReg {
         match t {
             CTy::F(_) | CTy::Bool => v.freg(),
             CTy::Int => {
                 let dst = self.alloc_f();
                 self.ops.push(Op::IToF {
-                    prec: Precision::Double,
+                    prec: p,
                     dst,
                     a: v.ireg(),
                 });
@@ -999,11 +1048,17 @@ impl<'k> Compiler<'k> {
 // Peephole fusion
 // ---------------------------------------------------------------------------
 
+/// Side tables of fused ops whose operands do not fit in an [`Op`].
+#[derive(Default)]
+struct FusionTables {
+    dot: Vec<DotStepArgs>,
+    loops: Vec<DotLoopArgs>,
+}
+
 /// The destination register an op writes, if it has exactly one.
-fn dst_of(op: Op, dot: &[DotStepArgs]) -> Option<Val> {
+fn dst_of(op: Op, t: &FusionTables) -> Option<Val> {
     match op {
-        Op::IConst { dst, .. }
-        | Op::IMov { dst, .. }
+        Op::IMov { dst, .. }
         | Op::IBin { dst, .. }
         | Op::IAddImm { dst, .. }
         | Op::IUn { dst, .. }
@@ -1011,8 +1066,7 @@ fn dst_of(op: Op, dot: &[DotStepArgs]) -> Option<Val> {
         | Op::FCmp { dst, .. }
         | Op::FToI { dst, .. }
         | Op::SelectI { dst, .. } => Some(Val::I(dst)),
-        Op::FConst { dst, .. }
-        | Op::FMov { dst, .. }
+        Op::FMov { dst, .. }
         | Op::FBin { dst, .. }
         | Op::FUn { dst, .. }
         | Op::Cvt { dst, .. }
@@ -1020,19 +1074,18 @@ fn dst_of(op: Op, dot: &[DotStepArgs]) -> Option<Val> {
         | Op::Load { dst, .. }
         | Op::SelectF { dst, .. }
         | Op::FMulAcc { dst, .. } => Some(Val::F(dst)),
-        Op::DotStep { idx } => Some(Val::F(dot[idx as usize].dst)),
+        Op::DotStep { idx } => Some(Val::F(t.dot[idx as usize].dst)),
         _ => None,
     }
 }
 
 /// Rewrites an op's destination register (same kind).
-fn with_dst(op: Op, new: Val, dot: &mut [DotStepArgs]) -> Op {
+fn with_dst(op: Op, new: Val, t: &mut FusionTables) -> Op {
     let mut op = op;
     match (&mut op, new) {
-        (Op::DotStep { idx }, Val::F(r)) => dot[*idx as usize].dst = r,
+        (Op::DotStep { idx }, Val::F(r)) => t.dot[*idx as usize].dst = r,
         (
-            Op::IConst { dst, .. }
-            | Op::IMov { dst, .. }
+            Op::IMov { dst, .. }
             | Op::IBin { dst, .. }
             | Op::IAddImm { dst, .. }
             | Op::IUn { dst, .. }
@@ -1043,8 +1096,7 @@ fn with_dst(op: Op, new: Val, dot: &mut [DotStepArgs]) -> Op {
             Val::I(r),
         ) => *dst = r,
         (
-            Op::FConst { dst, .. }
-            | Op::FMov { dst, .. }
+            Op::FMov { dst, .. }
             | Op::FBin { dst, .. }
             | Op::FUn { dst, .. }
             | Op::Cvt { dst, .. }
@@ -1059,15 +1111,18 @@ fn with_dst(op: Op, new: Val, dot: &mut [DotStepArgs]) -> Op {
     op
 }
 
+/// Calls `fi`/`ff` for every integer / float register a dot step reads.
+fn dot_reads(d: &DotStepArgs, fi: &mut impl FnMut(IReg), ff: &mut impl FnMut(FReg)) {
+    for r in [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2] {
+        fi(r);
+    }
+    ff(d.acc);
+}
+
 /// Calls `fi`/`ff` for every integer / float register an op reads.
-fn for_each_read(
-    op: Op,
-    dot: &[DotStepArgs],
-    fi: &mut impl FnMut(IReg),
-    ff: &mut impl FnMut(FReg),
-) {
+fn for_each_read(op: Op, t: &FusionTables, fi: &mut impl FnMut(IReg), ff: &mut impl FnMut(FReg)) {
     match op {
-        Op::Jump(_) | Op::IConst { .. } | Op::FConst { .. } | Op::Count { .. } | Op::Halt => {}
+        Op::Jump(_) | Op::Count { .. } | Op::Halt => {}
         Op::JumpIfFalse { cond, .. } => fi(cond),
         Op::IMov { src, .. } => fi(src),
         Op::FMov { src, .. } => ff(src),
@@ -1079,12 +1134,12 @@ fn for_each_read(
         | Op::IAddImmJump { a, .. }
         | Op::CountAddJump { a, .. }
         | Op::IUn { a, .. } => fi(a),
-        Op::DotStep { idx } => {
-            let d = dot[idx as usize];
-            for r in [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2] {
-                fi(r);
-            }
-            ff(d.acc);
+        Op::DotStep { idx } => dot_reads(&t.dot[idx as usize], fi, ff),
+        Op::DotLoop { idx } => {
+            let l = &t.loops[idx as usize];
+            fi(l.var);
+            fi(l.end);
+            dot_reads(&l.step, fi, ff);
         }
         Op::FCmp { a, b, .. } | Op::FBin { a, b, .. } | Op::JumpFCmpFalse { a, b, .. } => {
             ff(a);
@@ -1133,15 +1188,16 @@ fn for_each_read(
 ///   order (including wrapping/rounding and bounds checks).
 ///
 /// Count deltas are never altered: a `Count` either survives verbatim or
-/// rides along inside `CountAddJump` with the same table index, so
-/// [`OpCounts`] are unchanged.
+/// rides along inside `CountAddJump` (and then `DotLoop`) with the same
+/// table index, so [`OpCounts`] are unchanged.
 ///
 /// Runs to a fixpoint: a fused op can enable further fusion (e.g. the
-/// multiply-accumulate's result copy sinks on the next pass).
-fn peephole(mut ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
+/// multiply-accumulate's result copy sinks on the next pass, and a loop
+/// whose body became one `DotStep` fuses whole on the pass after).
+fn peephole(mut ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
     loop {
         let before = ops.len();
-        ops = peephole_pass(ops, dot_table);
+        ops = peephole_pass(ops, tables);
         if ops.len() == before {
             return ops;
         }
@@ -1149,11 +1205,19 @@ fn peephole(mut ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
+fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
     let n = ops.len();
     let mut is_target = vec![false; n];
-    let mut ireads = HashMap::new();
-    let mut freads = HashMap::new();
+    // Read counts per register (registers are dense indices).
+    let bump = |reads: &mut Vec<u32>, r: u32| {
+        let r = r as usize;
+        if r >= reads.len() {
+            reads.resize(r + 1, 0);
+        }
+        reads[r] += 1;
+    };
+    let mut ireads = Vec::new();
+    let mut freads = Vec::new();
     for &op in &ops {
         match op {
             Op::Jump(t)
@@ -1164,15 +1228,12 @@ fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
             | Op::CountAddJump { target: t, .. } => is_target[t as usize] = true,
             _ => {}
         }
-        for_each_read(
-            op,
-            dot_table,
-            &mut |r| *ireads.entry(r).or_insert(0u32) += 1,
-            &mut |r| *freads.entry(r).or_insert(0u32) += 1,
-        );
+        for_each_read(op, tables, &mut |r| bump(&mut ireads, r), &mut |r| {
+            bump(&mut freads, r);
+        });
     }
-    let iread = |r: IReg| ireads.get(&r).copied().unwrap_or(0);
-    let fread = |r: FReg| freads.get(&r).copied().unwrap_or(0);
+    let iread = |r: IReg| ireads.get(r as usize).copied().unwrap_or(0);
+    let fread = |r: FReg| freads.get(r as usize).copied().unwrap_or(0);
     let interior_free = |lo: usize, hi: usize| (lo..=hi).all(|k| !is_target[k]);
 
     let mut out = Vec::with_capacity(n);
@@ -1312,10 +1373,11 @@ fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
                 && fread(t2) == 1
                 && interior_free(i + 1, i + 2) =>
             {
-                let idx = dot_table.len() as u32;
-                dot_table.push(DotStepArgs {
+                let idx = tables.dot.len() as u32;
+                tables.dot.push(DotStepArgs {
                     pm,
                     pa,
+                    post: Precision::Double,
                     dst,
                     acc,
                     buf1,
@@ -1329,21 +1391,74 @@ fn peephole_pass(ops: Vec<Op>, dot_table: &mut Vec<DotStepArgs>) -> Vec<Op> {
                 });
                 Some((Op::DotStep { idx }, 3))
             }
+            // A conversion whose only input is a dot step's sum becomes
+            // the step's third rounding (an accumulator narrower than the
+            // product, e.g. double operands summed into a half result).
+            (Op::DotStep { idx }, Some(&Op::Cvt { prec, dst, a }), _)
+                if tables.dot[idx as usize].post == Precision::Double
+                    && tables.dot[idx as usize].dst == a
+                    && fread(a) == 1
+                    && interior_free(i + 1, i + 1) =>
+            {
+                let d = &mut tables.dot[idx as usize];
+                d.post = prec;
+                d.dst = dst;
+                Some((Op::DotStep { idx }, 2))
+            }
+            // A whole counted loop whose body is one dot step accumulating
+            // in place: the head compares the counter with a bound, exits
+            // just past the back-edge, and the back-edge advances the
+            // counter and jumps to the head. Only the counter and the
+            // accumulator change inside such a loop.
+            (
+                Op::JumpICmpFalse {
+                    op,
+                    a: var,
+                    b: end,
+                    target: exit,
+                },
+                Some(&Op::DotStep { idx: step }),
+                Some(&Op::CountAddJump {
+                    idx: count,
+                    dst,
+                    a: src,
+                    imm,
+                    target: head,
+                }),
+            ) if head as usize == i
+                && exit as usize == i + 3
+                && dst == var
+                && src == var
+                && end != var
+                && tables.dot[step as usize].dst == tables.dot[step as usize].acc
+                && interior_free(i + 1, i + 2) =>
+            {
+                let idx = tables.loops.len() as u32;
+                tables.loops.push(DotLoopArgs {
+                    op,
+                    var,
+                    end,
+                    step: tables.dot[step as usize],
+                    count,
+                    imm,
+                });
+                Some((Op::DotLoop { idx }, 3))
+            }
             // Copy sink: a producer whose only consumer is a register move
             // writes the move's destination directly.
             (producer, Some(&Op::IMov { dst, src }), _)
-                if dst_of(producer, dot_table) == Some(Val::I(src))
+                if dst_of(producer, tables) == Some(Val::I(src))
                     && iread(src) == 1
                     && interior_free(i + 1, i + 1) =>
             {
-                Some((with_dst(producer, Val::I(dst), dot_table), 2))
+                Some((with_dst(producer, Val::I(dst), tables), 2))
             }
             (producer, Some(&Op::FMov { dst, src }), _)
-                if dst_of(producer, dot_table) == Some(Val::F(src))
+                if dst_of(producer, tables) == Some(Val::F(src))
                     && fread(src) == 1
                     && interior_free(i + 1, i + 1) =>
             {
-                Some((with_dst(producer, Val::F(dst), dot_table), 2))
+                Some((with_dst(producer, Val::F(dst), tables), 2))
             }
             _ => None,
         };
@@ -1392,7 +1507,7 @@ fn promote_cty(a: CTy, b: CTy) -> Precision {
 #[inline]
 fn round_to(p: Precision, v: f64) -> f64 {
     match p {
-        Precision::Half => F16::from_f64(v).to_f64(),
+        Precision::Half => F16::round_f64(v),
         Precision::Single => f64::from(v as f32),
         Precision::Double => v,
     }
@@ -1413,19 +1528,35 @@ fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
                 FloatBinOp::Max => x.max(y),
             })
         }
-        Precision::Half => {
-            let (x, y) = (F16::from_f64(a), F16::from_f64(b));
-            (match op {
-                FloatBinOp::Add => x + y,
-                FloatBinOp::Sub => x - y,
-                FloatBinOp::Mul => x * y,
-                FloatBinOp::Div => x / y,
-                FloatBinOp::Min => x.min(y),
-                FloatBinOp::Max => x.max(y),
-            })
-            .to_f64()
-        }
+        // Operands are exact binary16 values: one rounding of the f64
+        // result is the correctly rounded binary16 result (module docs).
+        Precision::Half => match op {
+            FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Mul | FloatBinOp::Div => {
+                let v = apply_f64(op, a, b);
+                if v.is_nan() {
+                    apply_f16(op, a, b)
+                } else {
+                    F16::round_f64(v)
+                }
+            }
+            FloatBinOp::Min | FloatBinOp::Max => apply_f16(op, a, b),
+        },
     }
+}
+
+/// Binary16 arithmetic through the widening `F16` operators: `min`/`max`,
+/// and NaN results, whose payload `f64` arithmetic leaves unspecified.
+fn apply_f16(op: FloatBinOp, a: f64, b: f64) -> f64 {
+    let (x, y) = (F16::from_f64(a), F16::from_f64(b));
+    (match op {
+        FloatBinOp::Add => x + y,
+        FloatBinOp::Sub => x - y,
+        FloatBinOp::Mul => x * y,
+        FloatBinOp::Div => x / y,
+        FloatBinOp::Min => x.min(y),
+        FloatBinOp::Max => x.max(y),
+    })
+    .to_f64()
 }
 
 #[inline]
@@ -1625,6 +1756,12 @@ impl CompiledKernel {
         iregs.resize(self.n_iregs as usize, 0);
         fregs.clear();
         fregs.resize(self.n_fregs as usize, 0.0);
+        for &(r, v) in &self.int_pool {
+            iregs[r as usize] = v;
+        }
+        for &(r, v) in &self.float_pool {
+            fregs[r as usize] = v;
+        }
         debug_assert!(bufs.is_empty(), "scratch buffers left bound");
 
         args.clear();
@@ -2003,8 +2140,6 @@ impl CompiledKernel {
                                 continue;
                             }
                         }
-                        Op::IConst { dst, v } => iregs[dst as usize] = v,
-                        Op::FConst { dst, v } => fregs[dst as usize] = v,
                         Op::IMov { dst, src } => iregs[dst as usize] = iregs[src as usize],
                         Op::FMov { dst, src } => fregs[dst as usize] = fregs[src as usize],
                         Op::IBin { op, dst, a, b } => {
@@ -2125,18 +2260,7 @@ impl CompiledKernel {
                                 apply_fbin(pa, FloatBinOp::Add, fregs[acc as usize], m);
                         }
                         Op::DotStep { idx } => {
-                            let d = &self.dot_table[idx as usize];
-                            let i1 = iregs[d.a1 as usize]
-                                .wrapping_mul(iregs[d.b1 as usize])
-                                .wrapping_add(iregs[d.c1 as usize]);
-                            let v1 = mem.load(d.buf1, i1)?;
-                            let i2 = iregs[d.a2 as usize]
-                                .wrapping_mul(iregs[d.b2 as usize])
-                                .wrapping_add(iregs[d.c2 as usize]);
-                            let v2 = mem.load(d.buf2, i2)?;
-                            let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
-                            fregs[d.dst as usize] =
-                                apply_fbin(d.pa, FloatBinOp::Add, fregs[d.acc as usize], m);
+                            dot_step(&self.dot_table[idx as usize], iregs, fregs, mem)?;
                         }
                         Op::CountAddJump {
                             idx,
@@ -2150,6 +2274,10 @@ impl CompiledKernel {
                             pc = target as usize;
                             continue;
                         }
+                        Op::DotLoop { idx } => {
+                            let l = &self.loop_table[idx as usize];
+                            hits[l.count as usize] += dot_loop(l, iregs, fregs, mem)?;
+                        }
                     }
                     pc += 1;
                 }
@@ -2157,6 +2285,66 @@ impl CompiledKernel {
         }
         Ok(())
     }
+}
+
+/// One dot-product step: both indexed loads (bounds-checked, in operand
+/// order), the product rounded at `pm`, the sum at `pa`, then converted
+/// to `post`.
+#[inline(always)]
+fn dot_step<M: BufMem>(
+    d: &DotStepArgs,
+    iregs: &[i64],
+    fregs: &mut [f64],
+    mem: &M,
+) -> Result<(), ExecError> {
+    let i1 = iregs[d.a1 as usize]
+        .wrapping_mul(iregs[d.b1 as usize])
+        .wrapping_add(iregs[d.c1 as usize]);
+    let v1 = mem.load(d.buf1, i1)?;
+    let i2 = iregs[d.a2 as usize]
+        .wrapping_mul(iregs[d.b2 as usize])
+        .wrapping_add(iregs[d.c2 as usize]);
+    let v2 = mem.load(d.buf2, i2)?;
+    let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
+    let sum = apply_fbin(d.pa, FloatBinOp::Add, fregs[d.acc as usize], m);
+    fregs[d.dst as usize] = round_to(d.post, sum);
+    Ok(())
+}
+
+/// Runs a fused dot-product loop to its exit and returns its trip count.
+/// Every iteration is the unfused compare, [`dot_step`] and back-edge:
+/// the same loads and bounds checks, the same roundings, the same
+/// wrapping increment. Only the counter and the accumulator change inside
+/// the loop, so they live in locals and every other register is read once.
+#[inline(always)]
+fn dot_loop<M: BufMem>(
+    l: &DotLoopArgs,
+    iregs: &mut [i64],
+    fregs: &mut [f64],
+    mem: &M,
+) -> Result<u64, ExecError> {
+    let d = &l.step;
+    let mut k = iregs[l.var as usize];
+    let end = iregs[l.end as usize];
+    // An index operand is the counter itself or a loop invariant.
+    let operand = |r: IReg| (r == l.var, iregs[r as usize]);
+    let [a1, b1, c1, a2, b2, c2] = [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2].map(operand);
+    let at = |(is_var, v): (bool, i64), k: i64| if is_var { k } else { v };
+    let mut acc = fregs[d.acc as usize];
+    let mut trips = 0;
+    while apply_icmp(l.op, k, end) {
+        let i1 = at(a1, k).wrapping_mul(at(b1, k)).wrapping_add(at(c1, k));
+        let v1 = mem.load(d.buf1, i1)?;
+        let i2 = at(a2, k).wrapping_mul(at(b2, k)).wrapping_add(at(c2, k));
+        let v2 = mem.load(d.buf2, i2)?;
+        let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
+        acc = round_to(d.post, apply_fbin(d.pa, FloatBinOp::Add, acc, m));
+        trips += 1;
+        k = k.wrapping_add(i64::from(l.imm));
+    }
+    iregs[l.var as usize] = k;
+    fregs[d.acc as usize] = acc;
+    Ok(trips)
 }
 
 /// Buffer-access strategy for [`CompiledKernel::exec_range`]. Sequential
@@ -2620,15 +2808,12 @@ mod tests {
         assert!(matches!(compile_kernel(&k), Err(ExecError::KindError(_))));
     }
 
-    #[test]
-    fn hot_loops_fuse_into_superinstructions() {
-        // A GEMM-shaped inner loop must hit every fusion pattern: fused
-        // compare-branches, a fused back-edge, row-major indexed loads,
-        // and the accumulator copy sunk into its producer.
-        let k = kernel("mm")
-            .buffer("a", Precision::Double, Access::Read)
-            .buffer("b", Precision::Double, Access::Read)
-            .buffer("c", Precision::Double, Access::ReadWrite)
+    /// A GEMM-shaped kernel with `a`/`b` at `ab` and `c` at `c_elem`.
+    fn mm(ab: Precision, c_elem: Precision) -> Kernel {
+        kernel("mm")
+            .buffer("a", ab, Access::Read)
+            .buffer("b", ab, Access::Read)
+            .buffer("c", c_elem, Access::ReadWrite)
             .int_param("n")
             .body(vec![
                 let_("j", global_id(0)),
@@ -2650,18 +2835,38 @@ mod tests {
                         store("c", var("i") * var("n") + var("j"), var("acc")),
                     ],
                 ),
-            ]);
-        let compiled = compile_kernel(&k).unwrap();
-        let has = |f: &dyn Fn(&Op) -> bool| compiled.ops.iter().any(f);
-        assert!(has(&|o| matches!(o, Op::JumpICmpFalse { .. })));
-        assert!(has(&|o| matches!(o, Op::DotStep { .. })));
-        assert!(has(&|o| matches!(o, Op::CountAddJump { .. })));
-        assert!(
-            !has(&|o| matches!(o, Op::FMov { .. })),
-            "accumulator moves must sink into their producers"
-        );
-        // The fused inner loop (head + dot-step + counting back-edge)
-        // dispatches 3 ops per iteration, down from 14 unfused.
+            ])
+    }
+
+    #[test]
+    fn hot_loops_fuse_into_superinstructions() {
+        // A GEMM-shaped inner loop must hit every fusion pattern on its
+        // way to one fused-loop dispatch: the fused compare-branch head,
+        // row-major indexed loads, the accumulator copy sunk into its
+        // producer, and the counting back-edge. With double operands
+        // summed into a half accumulator, the narrowing `Cvt` folds into
+        // the dot step first.
+        for c_elem in [Precision::Double, Precision::Half] {
+            let compiled = compile_kernel(&mm(Precision::Double, c_elem)).unwrap();
+            let count = |f: &dyn Fn(&Op) -> bool| compiled.ops.iter().filter(|o| f(o)).count();
+            assert_eq!(
+                count(&|o| matches!(o, Op::DotLoop { .. })),
+                1,
+                "inner loop of the {c_elem:?} accumulator: {:?}",
+                compiled.ops
+            );
+            for (what, leftover) in [
+                ("DotStep", count(&|o| matches!(o, Op::DotStep { .. }))),
+                (
+                    "CountAddJump",
+                    count(&|o| matches!(o, Op::CountAddJump { .. })),
+                ),
+                ("Cvt", count(&|o| matches!(o, Op::Cvt { .. }))),
+            ] {
+                assert_eq!(leftover, 0, "{what} left unfused: {:?}", compiled.ops);
+            }
+        }
+        let k = mm(Precision::Double, Precision::Double);
         let n = 6usize;
         let mut bufs = BufferMap::new();
         let xs: Vec<f64> = (0..n * n).map(|i| (i as f64).sin()).collect();
@@ -2670,6 +2875,137 @@ mod tests {
         bufs.insert("c".into(), FloatVec::zeros(n * n, Precision::Double));
         let launch = Launch::two_d(n, n).arg_int("n", n as i64);
         assert_equiv(&k, bufs, &launch);
+    }
+
+    /// Buffer contents as bit patterns, so NaN payloads compare exactly.
+    fn bits(v: &FloatVec) -> Vec<u64> {
+        match v {
+            FloatVec::F16(xs) => xs.iter().map(|x| u64::from(x.to_bits())).collect(),
+            FloatVec::F32(xs) => xs.iter().map(|x| u64::from(x.to_bits())).collect(),
+            FloatVec::F64(xs) => xs.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    /// Runs a kernel through the interpreter, the sequential VM and the
+    /// parallel VM at 2 and 8 threads, and asserts the same result (counts
+    /// or error) and bit-identical buffers, partial writes included.
+    fn assert_equiv_bitwise(kernel: &Kernel, bufs: &BufferMap, launch: &Launch) {
+        check_kernel(kernel).unwrap();
+        let mut want = bufs.clone();
+        let want_result = format!("{:?}", run_kernel(kernel, &mut want, launch));
+        let compiled = compile_kernel(kernel).unwrap();
+        for threads in [1usize, 2, 8] {
+            let mut got = bufs.clone();
+            let result = if threads == 1 {
+                compiled.run(&mut got, launch)
+            } else {
+                compiled.run_parallel(&mut got, launch, &mut VmScratch::new(), threads)
+            };
+            assert_eq!(format!("{result:?}"), want_result, "{threads} threads");
+            for (name, data) in &want {
+                assert_eq!(bits(data), bits(&got[name]), "`{name}`, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn half_nan_payloads_match_the_interpreter() {
+        // f64 arithmetic leaves a NaN result's payload unspecified, so
+        // NaN results must take the F16 operators, as in the interpreter.
+        let k = kernel("nan")
+            .buffer("x", Precision::Half, Access::Read)
+            .buffer("y", Precision::Half, Access::Read)
+            .buffer("s", Precision::Half, Access::Write)
+            .buffer("p", Precision::Half, Access::Write)
+            .body(vec![
+                let_("i", global_id(0)),
+                store("s", var("i"), load("x", var("i")) + load("y", var("i"))),
+                store("p", var("i"), load("x", var("i")) * load("y", var("i"))),
+            ]);
+        let xs = [
+            0x7C01u16, 0x7E02, 0xFE02, 0x7C01, 0x3C00, 0x7C00, 0x0000, 0x7E02,
+        ];
+        let ys = [
+            0x7E02u16, 0x7C01, 0x7C01, 0x3C00, 0xFE02, 0xFC00, 0x7C00, 0x7E02,
+        ];
+        let n = 128usize;
+        let half = |pattern: &[u16; 8]| {
+            FloatVec::F16((0..n).map(|i| F16::from_bits(pattern[i % 8])).collect())
+        };
+        let mut bufs = BufferMap::new();
+        bufs.insert("x".into(), half(&xs));
+        bufs.insert("y".into(), half(&ys));
+        bufs.insert("s".into(), FloatVec::zeros(n, Precision::Half));
+        bufs.insert("p".into(), FloatVec::zeros(n, Precision::Half));
+        assert_equiv_bitwise(&k, &bufs, &Launch::one_d(n));
+
+        // The same payloads through a fused half dot-product loop.
+        let n = 8usize;
+        let mut bufs = BufferMap::new();
+        let mut a = vec![F16::from_f64(0.5); n * n];
+        a[3] = F16::from_bits(0x7C01);
+        a[n + 1] = F16::from_bits(0x7E02);
+        let mut b = vec![F16::from_f64(0.25); n * n];
+        b[2 * n + 5] = F16::from_bits(0x7E02);
+        b[n + 1] = F16::from_bits(0x7C01);
+        bufs.insert("a".into(), FloatVec::F16(a));
+        bufs.insert("b".into(), FloatVec::F16(b));
+        bufs.insert("c".into(), FloatVec::zeros(n * n, Precision::Half));
+        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+        assert_equiv_bitwise(&mm(Precision::Half, Precision::Half), &bufs, &launch);
+    }
+
+    #[test]
+    fn integer_operands_of_half_arithmetic_match_the_interpreter() {
+        // 2049 is no binary16 value: the interpreter rounds it to 2048
+        // before the operation, so the single-rounding path must see the
+        // rounded operand too (2049 + 0.5 would round to 2050).
+        let k = kernel("ih")
+            .buffer("x", Precision::Half, Access::Read)
+            .buffer("s", Precision::Half, Access::Write)
+            .buffer("p", Precision::Half, Access::Write)
+            .int_param("n")
+            .body(vec![
+                let_("i", global_id(0)),
+                store("s", var("i"), load("x", var("i")) + var("n")),
+                store("p", var("i"), var("n") * load("x", var("i"))),
+            ]);
+        let xs: Vec<f64> = (0..64).map(|i| f64::from(i) * 0.25 - 3.0).collect();
+        let mut bufs = BufferMap::new();
+        bufs.insert("x".into(), FloatVec::from_f64_slice(&xs, Precision::Half));
+        bufs.insert("s".into(), FloatVec::zeros(xs.len(), Precision::Half));
+        bufs.insert("p".into(), FloatVec::zeros(xs.len(), Precision::Half));
+        let launch = Launch::one_d(xs.len()).arg_int("n", 2049);
+        assert_equiv_bitwise(&k, &bufs, &launch);
+    }
+
+    #[test]
+    fn fused_loop_out_of_bounds_mid_loop_matches_the_interpreter() {
+        // `a` is three elements short, so the last row's items fault in
+        // the middle of the fused inner loop, after every earlier row has
+        // stored its result: same error, same partial writes.
+        for c_elem in [Precision::Double, Precision::Half] {
+            let k = mm(Precision::Double, c_elem);
+            let compiled = compile_kernel(&k).unwrap();
+            assert!(compiled.ops.iter().any(|o| matches!(o, Op::DotLoop { .. })));
+            let n = 16usize;
+            let mut bufs = gemm_buffers(n, Precision::Double);
+            let short: Vec<f64> = (0..n * n - 3).map(|i| (i as f64).cos()).collect();
+            bufs.insert(
+                "a".into(),
+                FloatVec::from_f64_slice(&short, Precision::Double),
+            );
+            bufs.insert("c".into(), FloatVec::zeros(n * n, c_elem));
+            let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+            let mut probe = bufs.clone();
+            let err = compiled.run(&mut probe, &launch).unwrap_err();
+            assert!(
+                matches!(err, ExecError::OutOfBounds { ref buf, index, len }
+                    if buf == "a" && index == (n * n - 3) as i64 && len == n * n - 3),
+                "{err:?}"
+            );
+            assert_equiv_bitwise(&k, &bufs, &launch);
+        }
     }
 
     #[test]

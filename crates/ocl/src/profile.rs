@@ -21,25 +21,28 @@ pub struct WriteStats {
 }
 
 impl WriteStats {
-    /// Statistics over one host slice; `None` for empty slices.
+    /// Statistics over the values of one host write, summed in order;
+    /// `None` when there are none.
     #[must_use]
-    pub fn of(data: &[f64]) -> Option<WriteStats> {
-        if data.is_empty() {
-            return None;
-        }
+    pub fn of(data: impl IntoIterator<Item = f64>) -> Option<WriteStats> {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut sum = 0.0;
-        for &v in data {
+        let mut count = 0usize;
+        for v in data {
             lo = lo.min(v);
             hi = hi.max(v);
             sum += v;
+            count += 1;
+        }
+        if count == 0 {
+            return None;
         }
         Some(WriteStats {
             lo,
             hi,
-            mean: sum / data.len() as f64,
-            count: data.len(),
+            mean: sum / count as f64,
+            count,
         })
     }
 
@@ -401,16 +404,16 @@ mod tests {
     #[test]
     fn host_write_stats_merge_across_writes() {
         let mut log = sample_log();
-        log.record_host_write("A", WriteStats::of(&[1.0, 3.0]));
-        log.record_host_write("A", WriteStats::of(&[-1.0, 5.0]));
+        log.record_host_write("A", WriteStats::of([1.0, 3.0]));
+        log.record_host_write("A", WriteStats::of([-1.0, 5.0]));
         let s = log.object("A").unwrap().host_written.unwrap();
         assert_eq!(s.lo, -1.0);
         assert_eq!(s.hi, 5.0);
         assert_eq!(s.mean, 2.0);
         assert_eq!(s.count, 4);
         // Empty writes and unknown labels are ignored.
-        log.record_host_write("A", WriteStats::of(&[]));
-        log.record_host_write("ghost", WriteStats::of(&[9.0]));
+        log.record_host_write("A", WriteStats::of([]));
+        log.record_host_write("ghost", WriteStats::of([9.0]));
         assert_eq!(log.object("A").unwrap().host_written.unwrap().count, 4);
     }
 }

@@ -423,7 +423,7 @@ impl Session {
         // Host-side value statistics seed the static range analysis;
         // taken from the *uncorrupted* host data at declared precision.
         self.log
-            .record_host_write(&label, WriteStats::of(&host.to_f64_vec()));
+            .record_host_write(&label, WriteStats::of(host.iter_f64()));
         Ok(())
     }
 

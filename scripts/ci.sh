@@ -10,6 +10,12 @@ cargo build --release --offline
 # default build compiles can rot silently.
 cargo build --release --offline --workspace --all-targets
 cargo test -q --workspace --offline
+# Benchmark smoke: the ledger is a package of its own (its own
+# `[workspace]`), so the workspace run above never reaches its tests. They
+# run every ledger workload at CI size, both passes, and check VM replays
+# against the reference interpreter (outputs and OpCounts, sequential and
+# parallel), decision digests across rounds, and resume bit-identity.
+cargo test --release --offline --manifest-path src/bin/prescaler-ledger/Cargo.toml
 # Default lints plus a curated clippy::pedantic subset, enforced
 # workspace-wide: consistent trailing semicolons, method-path closures,
 # iterator idiom, map_or over map+unwrap_or, let-else over match-else.
