@@ -48,7 +48,7 @@ const PROFILE_SAMPLES: usize = 5;
 /// ([`SystemModel::without_faults`]): the quality oracle and the speedup
 /// denominator must not depend on injected noise or corruption. When the
 /// system carries an active fault plan, the object visit order is instead
-/// taken from the *median* (by total time) of [`PROFILE_SAMPLES`] runs on
+/// taken from the *median* (by total time) of `PROFILE_SAMPLES` (5) runs on
 /// the faulty system, so one unlucky sample cannot reshuffle the decision
 /// tree; samples that fail outright are skipped, and if every sample
 /// fails the clean log orders the objects.

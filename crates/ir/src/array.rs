@@ -125,17 +125,6 @@ impl FloatVec {
         }
     }
 
-    /// Writes a [`Scalar`], converting to the storage precision (one
-    /// rounding from the scalar's own precision — exactly what a typed
-    /// store instruction does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds or `value` is not a float.
-    pub fn set_scalar(&mut self, i: usize, value: Scalar) {
-        self.set(i, value.as_f64());
-    }
-
     /// Returns a copy converted to precision `p` (identity if equal).
     ///
     /// Each element is rounded exactly once from its current stored value;

@@ -9,6 +9,7 @@
 
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
+use std::collections::{HashMap, HashSet};
 
 /// Identifier for kernel parameters, locals and loop variables.
 pub type Ident = String;
@@ -160,6 +161,54 @@ pub enum Expr {
     },
 }
 
+impl Expr {
+    /// Whether this expression's float precision is still decided by its
+    /// context: a float literal, or unary, binary and select arithmetic over
+    /// nothing but such literals (the type checker's `WeakFloat`).
+    #[must_use]
+    pub(crate) fn is_weak(&self) -> bool {
+        match self {
+            Expr::FloatConst(_) => true,
+            Expr::Unary { arg, .. } => arg.is_weak(),
+            Expr::Bin { lhs, rhs, .. } => lhs.is_weak() && rhs.is_weak(),
+            Expr::Select { then, els, .. } => then.is_weak() && els.is_weak(),
+            _ => false,
+        }
+    }
+}
+
+/// Evaluates the two operands of a binary node in the order, and with the
+/// precision hints, the type checker's promotion implies: a weak operand
+/// (see [`Expr::is_weak`]) beside a strong one is evaluated second, at the
+/// strong side's precision; otherwise both get the context's `hint`, left
+/// first. The interpreter and the VM compiler share this so that they
+/// resolve literals, and meet a failing load, in the same order.
+pub(crate) fn eval_operands<'k, T, E>(
+    lhs: &'k Expr,
+    rhs: &'k Expr,
+    hint: Option<Precision>,
+    mut eval: impl FnMut(&'k Expr, Option<Precision>) -> Result<T, E>,
+    precision: impl Fn(&T) -> Option<Precision>,
+) -> Result<(T, T), E> {
+    match (lhs.is_weak(), rhs.is_weak()) {
+        (true, false) => {
+            let b = eval(rhs, hint)?;
+            let a = eval(lhs, precision(&b))?;
+            Ok((a, b))
+        }
+        (false, true) => {
+            let a = eval(lhs, hint)?;
+            let b = eval(rhs, precision(&a))?;
+            Ok((a, b))
+        }
+        _ => {
+            let a = eval(lhs, hint)?;
+            let b = eval(rhs, hint)?;
+            Ok((a, b))
+        }
+    }
+}
+
 /// A statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
@@ -238,20 +287,15 @@ impl Kernel {
         }
     }
 
-    /// Resolves a [`TypeRef`] against this kernel's parameter table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an `ElemOf` target is not a buffer parameter; the type
-    /// checker rejects such kernels first.
+    /// Resolves a [`TypeRef`] against this kernel's parameter table, or
+    /// `None` for an `ElemOf` that names no buffer parameter (the type
+    /// checker rejects such kernels; walkers that may see one anyway report
+    /// it in their own terms).
     #[must_use]
-    pub fn resolve(&self, ty: &TypeRef) -> ScalarType {
+    pub fn resolve(&self, ty: &TypeRef) -> Option<ScalarType> {
         match ty {
-            TypeRef::Concrete(t) => *t,
-            TypeRef::ElemOf(buf) => ScalarType::Float(
-                self.buffer_elem(buf)
-                    .unwrap_or_else(|| panic!("ElemOf({buf}) does not name a buffer")),
-            ),
+            TypeRef::Concrete(t) => Some(*t),
+            TypeRef::ElemOf(buf) => self.buffer_elem(buf).map(ScalarType::Float),
         }
     }
 
@@ -300,54 +344,149 @@ impl Program {
     pub fn kernel(&self, name: &str) -> Option<&Kernel> {
         self.kernels.iter().find(|k| k.name == name)
     }
+}
 
-    /// Mutable lookup by name.
-    pub fn kernel_mut(&mut self, name: &str) -> Option<&mut Kernel> {
-        self.kernels.iter_mut().find(|k| k.name == name)
+/// Calls `f` on `e` and on every sub-expression, depth-first, parents
+/// before children, operands left to right.
+pub fn visit_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    f(e);
+    match e {
+        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
+        Expr::Load { index, .. } => visit_expr(index, f),
+        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => visit_expr(arg, f),
+        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
+            visit_expr(lhs, f);
+            visit_expr(rhs, f);
+        }
+        Expr::Select { cond, then, els } => {
+            visit_expr(cond, f);
+            visit_expr(then, f);
+            visit_expr(els, f);
+        }
     }
 }
 
-/// Walks every expression in a statement list, depth-first.
-pub fn visit_exprs<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Expr)) {
-    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-        f(e);
-        match e {
-            Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-            Expr::Load { index, .. } => expr(index, f),
-            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => expr(arg, f),
-            Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            Expr::Select { cond, then, els } => {
-                expr(cond, f);
-                expr(then, f);
-                expr(els, f);
+/// Calls `f` on every statement of a statement list, nested loop and
+/// branch bodies included, depth-first in program order.
+pub fn visit_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            Stmt::Let { .. } | Stmt::Assign { .. } | Stmt::Store { .. } => {}
+            Stmt::For { body, .. } => visit_stmts(body, f),
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                visit_stmts(then_body, f);
+                visit_stmts(else_body, f);
             }
         }
     }
-    for s in stmts {
-        match s {
-            Stmt::Let { value, .. } | Stmt::Assign { value, .. } => expr(value, f),
-            Stmt::Store { index, value, .. } => {
-                expr(index, f);
-                expr(value, f);
-            }
-            Stmt::For {
-                start, end, body, ..
-            } => {
-                expr(start, f);
-                expr(end, f);
-                visit_exprs(body, f);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr(cond, f);
-                visit_exprs(then_body, f);
-                visit_exprs(else_body, f);
+}
+
+/// Calls `f` on every expression in a statement list (see [`visit_expr`]),
+/// in program order.
+pub fn visit_exprs<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Expr)) {
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Let { value, .. } | Stmt::Assign { value, .. } => visit_expr(value, f),
+        Stmt::Store { index, value, .. } => {
+            visit_expr(index, f);
+            visit_expr(value, f);
+        }
+        Stmt::For { start, end, .. } => {
+            visit_expr(start, f);
+            visit_expr(end, f);
+        }
+        Stmt::If { cond, .. } => visit_expr(cond, f),
+    });
+}
+
+/// Names assigned (not `let`-bound) anywhere in `stmts`, nested bodies
+/// included.
+pub(crate) fn assigned_vars(stmts: &[Stmt]) -> HashSet<&str> {
+    let mut out = HashSet::new();
+    visit_stmts(stmts, &mut |s| {
+        if let Stmt::Assign { name, .. } = s {
+            out.insert(name.as_str());
+        }
+    });
+    out
+}
+
+/// Lexical scopes of an AST walker: a stack of name → `V` maps, innermost
+/// last. The root scope is never popped, so a binding always has a frame
+/// to land in. What a name means when no scope binds it (a parameter, an
+/// error) is the walker's own rule.
+#[derive(Clone)]
+pub(crate) struct Scopes<'k, V> {
+    frames: Vec<HashMap<&'k str, V>>,
+}
+
+impl<'k, V> Scopes<'k, V> {
+    /// A stack holding one empty root scope.
+    pub(crate) fn new() -> Self {
+        Scopes {
+            frames: vec![HashMap::new()],
+        }
+    }
+
+    /// Back to one empty root scope.
+    pub(crate) fn reset(&mut self) {
+        self.frames.truncate(1);
+        self.frames[0].clear();
+    }
+
+    /// Opens a nested scope.
+    pub(crate) fn push(&mut self) {
+        self.frames.push(HashMap::new());
+    }
+
+    /// Closes the innermost scope; the root scope stays.
+    pub(crate) fn pop(&mut self) {
+        if self.frames.len() > 1 {
+            self.frames.pop();
+        }
+    }
+
+    /// The innermost binding of `name`.
+    pub(crate) fn get(&self, name: &str) -> Option<&V> {
+        self.frames.iter().rev().find_map(|f| f.get(name))
+    }
+
+    /// The innermost binding of `name`, mutably.
+    pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut V> {
+        self.frames.iter_mut().rev().find_map(|f| f.get_mut(name))
+    }
+
+    /// Binds `name` in the innermost scope, returning the binding it
+    /// replaced in that same scope (shadowed outer bindings stay).
+    pub(crate) fn bind(&mut self, name: &'k str, v: V) -> Option<V> {
+        let top = self.frames.len() - 1;
+        self.frames[top].insert(name, v)
+    }
+
+    /// Binds `name` in the root scope.
+    pub(crate) fn bind_root(&mut self, name: &'k str, v: V) -> Option<V> {
+        self.frames[0].insert(name, v)
+    }
+
+    /// Merges `other`, grown from the same pre-state and popped back to the
+    /// same depth, into `self` frame by frame: a name bound on both sides
+    /// is combined by `join`, one bound only in `other` is copied over.
+    pub(crate) fn join(&mut self, other: &Self, mut join: impl FnMut(&mut V, &V))
+    where
+        V: Clone,
+    {
+        for (mine, theirs) in self.frames.iter_mut().zip(&other.frames) {
+            for (&name, v) in theirs {
+                match mine.get_mut(name) {
+                    Some(slot) => join(slot, v),
+                    None => {
+                        mine.insert(name, v.clone());
+                    }
+                }
             }
         }
     }
@@ -386,21 +525,20 @@ mod tests {
         assert_eq!(k.buffer_elem("alpha"), None);
         assert_eq!(
             k.resolve(&TypeRef::ElemOf("a".into())),
-            ScalarType::Float(Precision::Single)
+            Some(ScalarType::Float(Precision::Single))
         );
         assert_eq!(k.buffer_names(), vec!["a"]);
         assert!(k.param("missing").is_none());
     }
 
     #[test]
-    #[should_panic(expected = "does not name a buffer")]
-    fn resolving_elem_of_non_buffer_panics() {
+    fn resolving_elem_of_non_buffer_is_none() {
         let k = Kernel {
             name: "k".into(),
             params: vec![],
             body: vec![],
         };
-        let _ = k.resolve(&TypeRef::ElemOf("ghost".into()));
+        assert_eq!(k.resolve(&TypeRef::ElemOf("ghost".into())), None);
     }
 
     #[test]

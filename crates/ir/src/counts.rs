@@ -1,10 +1,14 @@
 //! Operation counts — the currency of the GPU cost model.
 //!
-//! Both the interpreter (dynamic, exact) and the static analysis
-//! ([`crate::analysis`]) produce [`OpCounts`]; the simulator turns them into
-//! virtual kernel time using per-architecture throughput tables.
+//! Both execution engines produce [`OpCounts`]: the reference interpreter
+//! ([`crate::interp`]) counts every operation as it runs, the bytecode VM
+//! ([`crate::vm`]) adds per-region deltas its compiler tallied. Both
+//! classify operations through the `count_*` methods here. The simulator
+//! turns the counts into virtual kernel time using per-architecture
+//! throughput tables.
 
 use crate::types::Precision;
+use crate::value::{FloatBinOp, UnaryFn};
 use core::ops::{Add, AddAssign, Mul};
 
 /// Per-precision operation counters.
@@ -98,17 +102,44 @@ impl OpCounts {
         self.float.iter().map(PrecCounts::flops).sum()
     }
 
-    /// Global-memory traffic in bytes, derived from per-precision element
-    /// loads/stores.
-    #[must_use]
-    pub fn memory_bytes(&self) -> u64 {
-        Precision::ALL
-            .into_iter()
-            .map(|p| {
-                let c = self.at(p);
-                (c.loads + c.stores) * p.size_bytes() as u64
-            })
-            .sum()
+    /// Tallies one binary arithmetic operation computing at precision `p`
+    /// (`None`: on integers). `min`/`max` count as additions.
+    pub(crate) fn count_bin(&mut self, op: FloatBinOp, p: Option<Precision>) {
+        let Some(p) = p else {
+            self.int_ops += 1;
+            return;
+        };
+        let slot = self.at_mut(p);
+        match op {
+            FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Min | FloatBinOp::Max => {
+                slot.add_sub += 1;
+            }
+            FloatBinOp::Mul => slot.mul += 1,
+            FloatBinOp::Div => slot.div += 1,
+        }
+    }
+
+    /// Tallies one unary function applied at precision `p` (`None`: to an
+    /// integer). Negation and `fabs` count as additions, the rest as
+    /// special functions.
+    pub(crate) fn count_unary(&mut self, op: UnaryFn, p: Option<Precision>) {
+        let Some(p) = p else {
+            self.int_ops += 1;
+            return;
+        };
+        let slot = self.at_mut(p);
+        match op {
+            UnaryFn::Neg | UnaryFn::Fabs => slot.add_sub += 1,
+            UnaryFn::Sqrt | UnaryFn::Exp | UnaryFn::Log => slot.special += 1,
+        }
+    }
+
+    /// Tallies one comparison at precision `p` (`None`: of integers).
+    pub(crate) fn count_cmp(&mut self, p: Option<Precision>) {
+        match p {
+            Some(p) => self.at_mut(p).cmp += 1,
+            None => self.int_ops += 1,
+        }
     }
 
     /// Scales all counters by `k` (e.g. one work-item's counts × items).
@@ -144,14 +175,6 @@ impl AddAssign for OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_bytes_weights_by_element_size() {
-        let mut c = OpCounts::new();
-        c.at_mut(Precision::Half).loads = 10;
-        c.at_mut(Precision::Double).stores = 3;
-        assert_eq!(c.memory_bytes(), 10 * 2 + 3 * 8);
-    }
 
     #[test]
     fn scaling_multiplies_every_counter() {

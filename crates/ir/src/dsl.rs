@@ -413,7 +413,7 @@ mod tests {
                 Param::Scalar { ty, .. } => ty,
                 Param::Buffer { .. } => unreachable!(),
             }),
-            ScalarType::Float(Precision::Double)
+            Some(ScalarType::Float(Precision::Double))
         );
     }
 

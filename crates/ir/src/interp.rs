@@ -5,13 +5,13 @@
 //! its operands* (true binary16/32/64 arithmetic), so numeric error from
 //! precision scaling is real. It simultaneously tallies exact dynamic
 //! [`OpCounts`], which the simulator converts into virtual kernel time and
-//! which validate the static analysis.
+//! which pin the bytecode VM's counts.
 
 use crate::array::FloatVec;
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt, TypeRef};
 use crate::counts::OpCounts;
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, Scalar, UnaryFn};
+use crate::value::Scalar;
 use core::fmt;
 use std::collections::HashMap;
 
@@ -109,7 +109,8 @@ pub enum ExecError {
     /// A variable was used or assigned without being declared — a
     /// malformed kernel that bypassed the type checker.
     UnboundVar(String),
-    /// A load/store targeted a name that is not a buffer parameter.
+    /// A load, store or `ElemOf` type named something that is not a
+    /// buffer parameter.
     NotABuffer(String),
     /// A value had the wrong runtime kind for its context (e.g. a float
     /// where an index was expected, a boolean in arithmetic) — a
@@ -148,6 +149,17 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Resolves a type annotation against `kernel`; a dangling `ElemOf` (a
+/// kernel that bypassed the type checker) is [`ExecError::NotABuffer`].
+pub(crate) fn resolve(kernel: &Kernel, ty: &TypeRef) -> Result<ScalarType, ExecError> {
+    kernel.resolve(ty).ok_or_else(|| {
+        ExecError::NotABuffer(match ty {
+            TypeRef::ElemOf(buf) => buf.clone(),
+            TypeRef::Concrete(t) => t.to_string(),
+        })
+    })
+}
+
 /// Runs `kernel` over the launch NDRange against `buffers`, returning the
 /// exact dynamic operation counts.
 ///
@@ -184,8 +196,7 @@ pub fn run_kernel(
                     .find(|(n, _)| n == name)
                     .map(|(_, v)| *v)
                     .ok_or_else(|| ExecError::MissingArg(name.clone()))?;
-                let resolved = kernel.resolve(ty);
-                let value = match (resolved, arg) {
+                let value = match (resolve(kernel, ty)?, arg) {
                     (ScalarType::Int, ArgValue::Int(v)) => Scalar::Int(v),
                     (ScalarType::Float(p), ArgValue::Float(v)) => Scalar::float(v, p),
                     // Binding an int literal to a float param is a common
@@ -203,7 +214,7 @@ pub fn run_kernel(
         kernel,
         buffers,
         scalars,
-        locals: Vec::new(),
+        locals: Scopes::new(),
         gid: [0, 0],
         counts: &mut counts,
     };
@@ -211,8 +222,7 @@ pub fn run_kernel(
     for gy in 0..launch.global[1] {
         for gx in 0..launch.global[0] {
             interp.gid = [gx as i64, gy as i64];
-            interp.locals.clear();
-            interp.locals.push(HashMap::new());
+            interp.locals.reset();
             interp.block(&kernel.body)?;
         }
     }
@@ -223,21 +233,9 @@ struct Interp<'a> {
     kernel: &'a Kernel,
     buffers: &'a mut BufferMap,
     scalars: HashMap<&'a str, Scalar>,
-    locals: Vec<HashMap<&'a str, Scalar>>,
+    locals: Scopes<'a, Scalar>,
     gid: [i64; 2],
     counts: &'a mut OpCounts,
-}
-
-/// Whether an expression's float precision is still context-determined
-/// (mirrors the checker's `WeakFloat`).
-fn is_weak(e: &Expr) -> bool {
-    match e {
-        Expr::FloatConst(_) => true,
-        Expr::Unary { arg, .. } => is_weak(arg),
-        Expr::Bin { lhs, rhs, .. } => is_weak(lhs) && is_weak(rhs),
-        Expr::Select { then, els, .. } => is_weak(then) && is_weak(els),
-        _ => false,
-    }
 }
 
 impl<'a> Interp<'a> {
@@ -252,44 +250,31 @@ impl<'a> Interp<'a> {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, ExecError>,
     ) -> Result<T, ExecError> {
-        self.locals.push(HashMap::new());
+        self.locals.push();
         let r = f(self);
         self.locals.pop();
         r
     }
 
     fn lookup(&self, name: &str) -> Option<Scalar> {
-        for scope in self.locals.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(*v);
-            }
-        }
-        self.scalars.get(name).copied()
-    }
-
-    /// The innermost scope. Self-healing rather than panicking: a caller
-    /// that somehow drained the stack gets a fresh scope, so a malformed
-    /// kernel degrades into a typed error downstream instead of aborting.
-    fn top_scope(&mut self) -> &mut HashMap<&'a str, Scalar> {
-        if self.locals.is_empty() {
-            self.locals.push(HashMap::new());
-        }
-        let top = self.locals.len() - 1;
-        &mut self.locals[top]
+        self.locals
+            .get(name)
+            .or_else(|| self.scalars.get(name))
+            .copied()
     }
 
     fn stmt(&mut self, stmt: &'a Stmt) -> Result<(), ExecError> {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let hint = ty.as_ref().and_then(|t| match self.kernel.resolve(t) {
-                    ScalarType::Float(p) => Some(p),
-                    _ => None,
-                });
-                let mut v = self.eval(value, hint)?;
-                if let Some(t) = ty {
-                    v = self.coerce(v, self.kernel.resolve(t));
+                let declared = match ty {
+                    Some(t) => Some(resolve(self.kernel, t)?),
+                    None => None,
+                };
+                let mut v = self.eval(value, declared.and_then(ScalarType::precision))?;
+                if let Some(t) = declared {
+                    v = self.coerce(v, t);
                 }
-                self.top_scope().insert(name.as_str(), v);
+                self.locals.bind(name, v);
                 Ok(())
             }
             Stmt::Assign { name, value } => {
@@ -299,15 +284,14 @@ impl<'a> Interp<'a> {
                 let hint = current.precision();
                 let v = self.eval(value, hint)?;
                 let v = self.coerce(v, current.scalar_type());
-                for scope in self.locals.iter_mut().rev() {
-                    if let Some(slot) = scope.get_mut(name.as_str()) {
-                        *slot = v;
-                        return Ok(());
-                    }
-                }
                 // The checker guarantees assignment targets are locals; a
                 // kernel that bypassed it degrades into a typed error.
-                Err(ExecError::UnboundVar(name.clone()))
+                let slot = self
+                    .locals
+                    .get_mut(name)
+                    .ok_or_else(|| ExecError::UnboundVar(name.clone()))?;
+                *slot = v;
+                Ok(())
             }
             Stmt::Store { buf, index, value } => {
                 let elem = self
@@ -356,13 +340,16 @@ impl<'a> Interp<'a> {
                 })?;
                 // Loop bookkeeping: one compare + one increment per trip.
                 self.counts.int_ops += 2 * (e - s).max(0) as u64;
-                self.scope(|cx| {
-                    for i in s..e {
-                        cx.top_scope().insert(var.as_str(), Scalar::Int(i));
-                        cx.block(body)?;
-                    }
-                    Ok(())
-                })
+                // Each trip runs the body in a fresh scope, as C does: a
+                // `let` in one trip must not be what the next trip's
+                // initializers read.
+                for i in s..e {
+                    self.scope(|cx| {
+                        cx.locals.bind(var, Scalar::Int(i));
+                        cx.block(body)
+                    })?;
+                }
+                Ok(())
             }
             Stmt::If {
                 cond,
@@ -450,16 +437,7 @@ impl<'a> Interp<'a> {
                         "boolean passed to a math function".into(),
                     ));
                 }
-                match v.precision() {
-                    Some(p) => {
-                        let slot = self.counts.at_mut(p);
-                        match op {
-                            UnaryFn::Neg | UnaryFn::Fabs => slot.add_sub += 1,
-                            _ => slot.special += 1,
-                        }
-                    }
-                    None => self.counts.int_ops += 1,
-                }
+                self.counts.count_unary(*op, v.precision());
                 Ok(op.apply(v))
             }
             Expr::Bin { op, lhs, rhs } => {
@@ -467,7 +445,8 @@ impl<'a> Interp<'a> {
                 if matches!(a, Scalar::Bool(_)) || matches!(b, Scalar::Bool(_)) {
                     return Err(ExecError::KindError("boolean operand in arithmetic".into()));
                 }
-                self.count_bin(*op, a, b);
+                self.counts
+                    .count_bin(*op, Precision::promote(a.precision(), b.precision()));
                 Ok(Scalar::binop(*op, a, b))
             }
             Expr::Cmp { op, lhs, rhs } => {
@@ -475,15 +454,18 @@ impl<'a> Interp<'a> {
                 if matches!(a, Scalar::Bool(_)) || matches!(b, Scalar::Bool(_)) {
                     return Err(ExecError::KindError("boolean operand in comparison".into()));
                 }
-                match promoted(a, b) {
-                    Some(p) => self.counts.at_mut(p).cmp += 1,
-                    None => self.counts.int_ops += 1,
-                }
-                Ok(Scalar::compare(*op, a, b))
+                self.counts
+                    .count_cmp(Precision::promote(a.precision(), b.precision()));
+                Ok(Scalar::Bool(match (a, b) {
+                    (Scalar::Int(x), Scalar::Int(y)) => op.holds(x, y),
+                    // Floats widen to f64 exactly; so does the VM.
+                    _ => op.holds(a.as_f64(), b.as_f64()),
+                }))
             }
             Expr::Cast { to, arg } => {
                 let v = self.eval(arg, None)?;
-                Ok(self.coerce(v, self.kernel.resolve(to)))
+                let to = resolve(self.kernel, to)?;
+                Ok(self.coerce(v, to))
             }
             Expr::Select { cond, then, els } => {
                 let c = self.eval(cond, None)?.try_bool().ok_or_else(|| {
@@ -526,54 +508,8 @@ impl<'a> Interp<'a> {
         rhs: &'a Expr,
         hint: Option<Precision>,
     ) -> Result<(Scalar, Scalar), ExecError> {
-        let lw = is_weak(lhs);
-        let rw = is_weak(rhs);
-        if lw && !rw {
-            let b = self.eval(rhs, hint)?;
-            let a = self.eval(lhs, b.precision())?;
-            Ok((a, b))
-        } else if rw && !lw {
-            let a = self.eval(lhs, hint)?;
-            let b = self.eval(rhs, a.precision())?;
-            Ok((a, b))
-        } else {
-            let a = self.eval(lhs, hint)?;
-            let b = self.eval(rhs, hint)?;
-            Ok((a, b))
-        }
+        eval_operands(lhs, rhs, hint, |e, h| self.eval(e, h), Scalar::precision)
     }
-
-    fn count_bin(&mut self, op: FloatBinOp, a: Scalar, b: Scalar) {
-        match promoted(a, b) {
-            Some(p) => {
-                let slot = self.counts.at_mut(p);
-                match op {
-                    FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Min | FloatBinOp::Max => {
-                        slot.add_sub += 1;
-                    }
-                    FloatBinOp::Mul => slot.mul += 1,
-                    FloatBinOp::Div => slot.div += 1,
-                }
-            }
-            None => self.counts.int_ops += 1,
-        }
-    }
-}
-
-/// The promotion precision of two runtime values, or `None` for int/int.
-fn promoted(a: Scalar, b: Scalar) -> Option<Precision> {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (Some(x), None) | (None, Some(x)) => Some(x),
-        (None, None) => None,
-    }
-}
-
-/// Convenience for evaluating a comparison operator outside the
-/// interpreter (used by tests).
-#[must_use]
-pub fn eval_cmp(op: CmpOp, a: f64, b: f64) -> bool {
-    Scalar::compare(op, Scalar::F64(a), Scalar::F64(b)).as_bool()
 }
 
 #[cfg(test)]
@@ -816,12 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_cmp_helper() {
-        assert!(eval_cmp(CmpOp::Lt, 1.0, 2.0));
-        assert!(!eval_cmp(CmpOp::Gt, 1.0, 2.0));
-    }
-
-    #[test]
     fn malformed_kernels_degrade_into_typed_errors() {
         // Kernels that bypassed the type checker must surface typed
         // errors, never panic — a guarded run degrades instead of
@@ -861,5 +791,16 @@ mod tests {
         bufs.insert("c".into(), FloatVec::zeros(1, Precision::Double));
         let err = run_kernel(&bool_math, &mut bufs, &Launch::one_d(1)).unwrap_err();
         assert!(matches!(err, ExecError::KindError(_)), "{err}");
+
+        let dangling_elem_of = kernel("bad_elem_of")
+            .buffer("c", Precision::Single, Access::Write)
+            .body(vec![store("c", int(0), cast_elem_of("ghost", flit(1.0)))]);
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(1, Precision::Single));
+        let err = run_kernel(&dangling_elem_of, &mut bufs, &Launch::one_d(1)).unwrap_err();
+        assert!(
+            matches!(err, ExecError::NotABuffer(ref n) if n == "ghost"),
+            "{err}"
+        );
     }
 }

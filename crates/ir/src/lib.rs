@@ -12,13 +12,15 @@
 //!   constant folding, access inference;
 //! * [`interp`] — functional execution in true binary16/32/64 arithmetic,
 //!   with exact dynamic operation counts;
-//! * [`analysis`] — static operation counts that match the interpreter
-//!   bit-for-bit on integer-controlled kernels;
+//! * [`vm`] — a bytecode compiler and VM, bit-identical to the interpreter
+//!   (outputs and operation counts) and much faster;
+//! * [`analysis`] — the disjoint-write analysis that lets the VM run a
+//!   launch in parallel chunks;
 //! * [`range`] — forward value-range dataflow (interval arithmetic with
 //!   widening at loop heads) proving precision-safety verdicts;
 //! * [`verify`] — a structural IR verifier with typed diagnostics, run
 //!   before kernel compilation;
-//! * [`print`] — OpenCL-C-like pretty-printing.
+//! * [`print`](mod@print) — OpenCL-C-like pretty-printing.
 //!
 //! # Example
 //!

@@ -16,10 +16,10 @@
 //!   that would change which precision the operation executes in).
 //! * [`infer_access`] — recomputes buffer access modes from the body.
 
-use crate::ast::{Access, Expr, Kernel, Param, Stmt, TypeRef};
+use crate::ast::{visit_exprs, visit_stmts, Access, Expr, Kernel, Param, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, UnaryFn};
-use std::collections::HashMap;
+use crate::value::{FloatBinOp, UnaryFn};
+use std::collections::{HashMap, HashSet};
 
 /// Returns a copy of `kernel` whose named buffers use new element
 /// precisions. Buffers absent from `map` are unchanged.
@@ -199,7 +199,7 @@ pub fn const_fold(kernel: &Kernel) -> Kernel {
                 let l = fold_expr(lhs);
                 let r = fold_expr(rhs);
                 if let (Expr::IntConst(x), Expr::IntConst(y)) = (&l, &r) {
-                    return Expr::IntConst(apply_int(*op, *x, *y));
+                    return Expr::IntConst(op.apply_int(*x, *y));
                 }
                 // Identities that do not change float semantics: i + 0,
                 // i * 1 on the integer side only.
@@ -320,7 +320,7 @@ pub fn const_fold(kernel: &Kernel) -> Kernel {
 fn known_bool(e: &Expr) -> Option<bool> {
     if let Expr::Cmp { op, lhs, rhs } = e {
         if let (Expr::IntConst(x), Expr::IntConst(y)) = (lhs.as_ref(), rhs.as_ref()) {
-            return Some(apply_cmp(*op, *x, *y));
+            return Some(op.holds(*x, *y));
         }
     }
     None
@@ -330,74 +330,22 @@ fn is_int_expr(e: &Expr) -> bool {
     matches!(e, Expr::IntConst(_) | Expr::GlobalId(_))
 }
 
-fn apply_int(op: FloatBinOp, x: i64, y: i64) -> i64 {
-    match op {
-        FloatBinOp::Add => x.wrapping_add(y),
-        FloatBinOp::Sub => x.wrapping_sub(y),
-        FloatBinOp::Mul => x.wrapping_mul(y),
-        FloatBinOp::Div => {
-            if y == 0 {
-                0
-            } else {
-                x.wrapping_div(y)
-            }
-        }
-        FloatBinOp::Min => x.min(y),
-        FloatBinOp::Max => x.max(y),
-    }
-}
-
-fn apply_cmp(op: CmpOp, x: i64, y: i64) -> bool {
-    match op {
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-    }
-}
-
 /// Recomputes each buffer's access mode from the loads and stores that
 /// actually appear in the body.
 #[must_use]
 pub fn infer_access(kernel: &Kernel) -> HashMap<String, Access> {
-    let mut loads = std::collections::HashSet::new();
-    let mut stores = std::collections::HashSet::new();
-
-    fn scan_stmts(
-        stmts: &[Stmt],
-        loads: &mut std::collections::HashSet<String>,
-        stores: &mut std::collections::HashSet<String>,
-    ) {
-        crate::ast::visit_exprs(stmts, &mut |e| {
-            if let Expr::Load { buf, .. } = e {
-                loads.insert(buf.clone());
-            }
-        });
-        for s in stmts {
-            match s {
-                Stmt::Store { buf, .. } => {
-                    stores.insert(buf.clone());
-                }
-                Stmt::For { body, .. } => scan_stmts(body, loads, stores),
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    scan_stmts(then_body, loads, stores);
-                    scan_stmts(else_body, loads, stores);
-                }
-                _ => {}
-            }
+    let mut loads = HashSet::new();
+    visit_exprs(&kernel.body, &mut |e| {
+        if let Expr::Load { buf, .. } = e {
+            loads.insert(buf.as_str());
         }
-    }
-
-    // visit_exprs already recurses, so one top-level scan for loads plus a
-    // recursive scan for stores suffices; the double-recursion for loads is
-    // harmless (idempotent set inserts).
-    scan_stmts(&kernel.body, &mut loads, &mut stores);
+    });
+    let mut stores = HashSet::new();
+    visit_stmts(&kernel.body, &mut |s| {
+        if let Stmt::Store { buf, .. } = s {
+            stores.insert(buf.as_str());
+        }
+    });
 
     kernel
         .buffer_names()
@@ -449,7 +397,7 @@ mod tests {
         check_kernel(&r).unwrap();
         // alpha tracks `a` and now resolves to half.
         let alpha_ty = match r.param("alpha").unwrap() {
-            Param::Scalar { ty, .. } => r.resolve(ty),
+            Param::Scalar { ty, .. } => r.resolve(ty).unwrap(),
             Param::Buffer { .. } => unreachable!(),
         };
         assert_eq!(alpha_ty, ScalarType::Float(Precision::Half));
@@ -474,7 +422,7 @@ mod tests {
                 if matches!(arg.as_ref(), Expr::Load { .. }) {
                     assert_eq!(
                         t.resolve(to),
-                        ScalarType::Float(Precision::Half),
+                        Some(ScalarType::Float(Precision::Half)),
                         "loads cast to the compute precision"
                     );
                     cast_loads += 1;

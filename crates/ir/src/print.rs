@@ -75,7 +75,11 @@ fn float_literal(v: f64) -> String {
 
 fn type_ref(kernel: &Kernel, ty: &TypeRef) -> String {
     // Print the *resolved* type: that is what generated source contains.
-    kernel.resolve(ty).to_string()
+    // A dangling `ElemOf` (a malformed kernel) prints as written.
+    match kernel.resolve(ty) {
+        Some(t) => t.to_string(),
+        None => format!("{ty:?}"),
+    }
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -257,6 +261,15 @@ mod tests {
         assert!(src.contains("__kernel void k1"));
         assert!(src.contains("__kernel void k2"));
         assert!(src.contains("// program: prog"));
+    }
+
+    #[test]
+    fn dangling_elem_of_prints_as_written() {
+        let k = kernel("k")
+            .buffer("c", Precision::Half, Access::Write)
+            .body(vec![store("c", int(0), cast_elem_of("ghost", flit(1.0)))]);
+        let src = kernel_to_string(&k);
+        assert!(src.contains(r#"(ElemOf("ghost"))(1.0)"#), "{src}");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! [`PrecisionVerdict::Unknown`]: the analysis never blocks a trial it
 //! cannot reject outright.
 
-use crate::ast::{Expr, Kernel, Param, Stmt};
+use crate::ast::{assigned_vars, visit_expr, visit_stmts, Expr, Kernel, Param, Scopes, Stmt};
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -551,7 +551,7 @@ pub fn analyze_kernel(kernel: &Kernel, env: &LaunchBounds) -> Vec<StoreSummary> 
         kernel,
         buffers: env.buffers.clone().into_iter().collect(),
         buffer_sources: HashMap::new(),
-        scopes: vec![HashMap::new()],
+        scopes: Scopes::new(),
         stores: Vec::new(),
         global: env.global,
         scalars: env.scalars.clone(),
@@ -611,94 +611,10 @@ struct Absint<'k> {
     /// store derived from other stochastic sources lands them here,
     /// keyed to the sources the stored values carry.
     buffer_sources: HashMap<String, HashSet<String>>,
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Scopes<'k, Binding>,
     stores: Vec<StoreSummary>,
     global: [usize; 2],
     scalars: BTreeMap<String, ScalarBound>,
-}
-
-/// Names assigned (via `Assign`) anywhere in a block, nested included.
-fn assigned_vars(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { name, .. } => {
-                out.insert(name.clone());
-            }
-            Stmt::For { body, .. } => assigned_vars(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                assigned_vars(then_body, out);
-                assigned_vars(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Store { .. } => {}
-        }
-    }
-}
-
-/// Free variable names of an expression.
-fn expr_vars(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Var(n) => {
-            out.insert(n.clone());
-        }
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::GlobalId(_) => {}
-        Expr::Load { index, .. } => expr_vars(index, out),
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => expr_vars(arg, out),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            expr_vars(lhs, out);
-            expr_vars(rhs, out);
-        }
-        Expr::Select { cond, then, els } => {
-            expr_vars(cond, out);
-            expr_vars(then, out);
-            expr_vars(els, out);
-        }
-    }
-}
-
-/// Buffers an expression loads from.
-fn loaded_buffers(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Load { buf, index } => {
-            out.insert(buf.clone());
-            loaded_buffers(index, out);
-        }
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => loaded_buffers(arg, out),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            loaded_buffers(lhs, out);
-            loaded_buffers(rhs, out);
-        }
-        Expr::Select { cond, then, els } => {
-            loaded_buffers(cond, out);
-            loaded_buffers(then, out);
-            loaded_buffers(els, out);
-        }
-    }
-}
-
-/// Buffers a block stores to, nested included.
-fn stored_buffers(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Store { buf, .. } => {
-                out.insert(buf.clone());
-            }
-            Stmt::For { body, .. } => stored_buffers(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                stored_buffers(then_body, out);
-                stored_buffers(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Assign { .. } => {}
-        }
-    }
 }
 
 /// An additive recurrence `v = v ± e` found at the top level of a loop
@@ -735,19 +651,17 @@ fn match_recurrence<'b>(name: &'b str, value: &'b Expr) -> Option<Recurrence<'b>
     }
 }
 
-impl Absint<'_> {
+impl<'k> Absint<'k> {
     fn lookup(&self, name: &str) -> AVal {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return b.val;
-            }
+        if let Some(b) = self.scopes.get(name) {
+            return b.val;
         }
         match self.kernel.param(name) {
             Some(Param::Scalar { ty, .. }) => match self.scalars.get(name) {
                 Some(ScalarBound::Int(v)) => AVal::Int(IntRange::point(i128::from(*v))),
                 Some(ScalarBound::Float(v)) => AVal::Float(ValueRange::exact(*v)),
                 None => match self.kernel.resolve(ty) {
-                    ScalarType::Int => AVal::Int(IntRange::TOP),
+                    Some(ScalarType::Int) => AVal::Int(IntRange::TOP),
                     _ => AVal::Float(ValueRange::TOP),
                 },
             },
@@ -759,48 +673,37 @@ impl Absint<'_> {
     /// unbound names (scalar parameters, which the host fixes before
     /// launch).
     fn lookup_prov(&self, name: &str) -> Provenance {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return b.prov.clone();
-            }
-        }
-        Provenance::deterministic()
+        self.scopes
+            .get(name)
+            .map_or_else(Provenance::deterministic, |b| b.prov.clone())
     }
 
     /// Binds with deterministic provenance (loop variables, widened
     /// slots — anything whose mean can never feed a product).
-    fn bind(&mut self, name: &str, v: AVal) {
+    fn bind(&mut self, name: &'k str, v: AVal) {
         self.bind_with(name, v, Provenance::deterministic());
     }
 
-    fn bind_with(&mut self, name: &str, v: AVal, prov: Provenance) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_owned(), Binding { val: v, prov });
-        }
+    fn bind_with(&mut self, name: &'k str, v: AVal, prov: Provenance) {
+        self.scopes.bind(name, Binding { val: v, prov });
     }
 
     /// Reassigns wherever the name is bound (outer scopes included),
     /// keeping the slot's provenance.
-    fn assign(&mut self, name: &str, v: AVal) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                slot.val = v;
-                return;
-            }
+    fn assign(&mut self, name: &'k str, v: AVal) {
+        match self.scopes.get_mut(name) {
+            Some(slot) => slot.val = v,
+            None => self.bind(name, v),
         }
-        self.bind(name, v);
     }
 
     /// Reassigns value and provenance together wherever the name is
     /// bound.
-    fn assign_with(&mut self, name: &str, v: AVal, prov: Provenance) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = Binding { val: v, prov };
-                return;
-            }
+    fn assign_with(&mut self, name: &'k str, v: AVal, prov: Provenance) {
+        match self.scopes.get_mut(name) {
+            Some(slot) => *slot = Binding { val: v, prov },
+            None => self.bind_with(name, v, prov),
         }
-        self.bind_with(name, v, prov);
     }
 
     /// Stochastic provenance of an expression's value.
@@ -987,7 +890,9 @@ impl Absint<'_> {
             Expr::Cast { to, arg } => {
                 let a = self.eval(arg);
                 match self.kernel.resolve(to) {
-                    ScalarType::Int => match a {
+                    // A dangling `ElemOf` (a malformed kernel) is ⊤.
+                    None => AVal::Float(ValueRange::TOP),
+                    Some(ScalarType::Int) => match a {
                         AVal::Int(i) => AVal::Int(i),
                         _ => {
                             let b = a.as_float().bounds;
@@ -1061,13 +966,13 @@ impl Absint<'_> {
         }
     }
 
-    fn eval_block(&mut self, stmts: &[Stmt], definite: bool) {
+    fn eval_block(&mut self, stmts: &'k [Stmt], definite: bool) {
         for s in stmts {
             self.eval_stmt(s, definite);
         }
     }
 
-    fn eval_stmt(&mut self, stmt: &Stmt, definite: bool) {
+    fn eval_stmt(&mut self, stmt: &'k Stmt, definite: bool) {
         match stmt {
             Stmt::Let { name, value, .. } => {
                 let v = self.eval(value);
@@ -1125,7 +1030,10 @@ impl Absint<'_> {
                         let then_scopes = std::mem::replace(&mut self.scopes, pre_scopes);
                         let then_buffers = std::mem::replace(&mut self.buffers, pre_buffers);
                         self.scoped_block(else_body, false);
-                        join_scopes(&mut self.scopes, &then_scopes);
+                        self.scopes.join(&then_scopes, |slot, b| {
+                            slot.val = slot.val.hull(b.val);
+                            slot.prov = slot.prov.join(&b.prov);
+                        });
                         for (k, v) in then_buffers {
                             let merged = self.buffer_range(&k).hull(v);
                             self.buffers.insert(k, merged);
@@ -1146,18 +1054,25 @@ impl Absint<'_> {
         }
     }
 
-    fn scoped_block(&mut self, stmts: &[Stmt], definite: bool) {
-        self.scopes.push(HashMap::new());
+    fn scoped_block(&mut self, stmts: &'k [Stmt], definite: bool) {
+        self.scopes.push();
         self.eval_block(stmts, definite);
         self.scopes.pop();
     }
 
-    fn eval_for(&mut self, var: &str, s: IntRange, e: IntRange, body: &[Stmt], definite: bool) {
+    fn eval_for(
+        &mut self,
+        var: &'k str,
+        s: IntRange,
+        e: IntRange,
+        body: &'k [Stmt],
+        definite: bool,
+    ) {
         match (s.exact(), e.exact()) {
             (Some(s0), Some(e0)) if e0 <= s0 => {} // zero trips
             (Some(s0), Some(e0)) if e0 - s0 <= UNROLL_CAP => {
                 for i in s0..e0 {
-                    self.scopes.push(HashMap::new());
+                    self.scopes.push();
                     self.bind(var, AVal::Int(IntRange::point(i)));
                     self.eval_block(body, definite);
                     self.scopes.pop();
@@ -1168,12 +1083,11 @@ impl Absint<'_> {
                 // Unknown trip count: widen every assigned variable to
                 // ⊤ before one descent, so the body's stores are still
                 // observed over a sound post-state.
-                let mut assigned = HashSet::new();
-                assigned_vars(body, &mut assigned);
+                let assigned = assigned_vars(body);
                 for name in &assigned {
                     self.widen_var(name);
                 }
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 let lo = s.lo.min(e.lo);
                 let hi = e.hi.saturating_sub(1).max(lo);
                 self.bind(var, AVal::Int(IntRange::new(lo, hi)));
@@ -1186,7 +1100,7 @@ impl Absint<'_> {
         }
     }
 
-    fn widen_var(&mut self, name: &str) {
+    fn widen_var(&mut self, name: &'k str) {
         let widened = match self.lookup(name) {
             AVal::Int(_) => AVal::Int(IntRange::TOP),
             AVal::Bool(_) => AVal::Bool(BoolRange::UNKNOWN),
@@ -1199,14 +1113,25 @@ impl Absint<'_> {
     /// [`UNROLL_CAP`]: additive recurrences with iteration-independent
     /// deltas jump to their post-state, everything else assigned widens
     /// to ⊤.
-    fn summarize_loop(&mut self, var: &str, s0: i128, e0: i128, body: &[Stmt], definite: bool) {
+    fn summarize_loop(
+        &mut self,
+        var: &'k str,
+        s0: i128,
+        e0: i128,
+        body: &'k [Stmt],
+        definite: bool,
+    ) {
         let trips = e0 - s0;
-        let mut assigned = HashSet::new();
-        assigned_vars(body, &mut assigned);
-        let mut stored = HashSet::new();
-        stored_buffers(body, &mut stored);
         let mut assign_counts: HashMap<&str, usize> = HashMap::new();
-        count_assigns(body, &mut assign_counts);
+        let mut stored = HashSet::new();
+        visit_stmts(body, &mut |s| match s {
+            Stmt::Assign { name, .. } => *assign_counts.entry(name).or_insert(0) += 1,
+            Stmt::Store { buf, .. } => {
+                stored.insert(buf.as_str());
+            }
+            _ => {}
+        });
+        let assigned: HashSet<&str> = assign_counts.keys().copied().collect();
 
         // Pass A: walk the top-level statements once in the pre-state
         // (loop variable bound to its full range), binding lets in
@@ -1223,10 +1148,10 @@ impl Absint<'_> {
         // exactly the binding environment the first iteration sees — so
         // a let that only shadows later cannot leak into an earlier
         // delta.
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         self.bind(var, AVal::Int(IntRange::new(s0, e0 - 1)));
-        let mut let_reads: HashMap<String, (HashSet<String>, HashSet<String>)> = HashMap::new();
-        let mut deltas: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
+        let mut let_reads: HashMap<&str, (HashSet<&str>, HashSet<&str>)> = HashMap::new();
+        let mut deltas: HashMap<&str, (ValueRange, Provenance)> = HashMap::new();
         for stmt in body {
             match stmt {
                 Stmt::Let { name, value, .. } => {
@@ -1234,7 +1159,7 @@ impl Absint<'_> {
                     let v = self.eval(value);
                     let prov = self.expr_prov(value);
                     self.bind_with(name, v, prov);
-                    let_reads.insert(name.clone(), reads);
+                    let_reads.insert(name, reads);
                 }
                 Stmt::Assign { name, value } => {
                     let Some(rec) = match_recurrence(name, value) else {
@@ -1257,7 +1182,7 @@ impl Absint<'_> {
                         d
                     };
                     let prov = self.expr_prov(rec.delta);
-                    deltas.insert(rec.name.to_owned(), (d, prov));
+                    deltas.insert(rec.name, (d, prov));
                 }
                 _ => {}
             }
@@ -1268,8 +1193,8 @@ impl Absint<'_> {
         // The recurrence's provenance accumulates the delta's on top of
         // its initial value's.
         let t = trips as f64;
-        let mut finals: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
-        let mut hulls: HashMap<String, (ValueRange, Provenance)> = HashMap::new();
+        let mut finals: HashMap<&str, (ValueRange, Provenance)> = HashMap::new();
+        let mut hulls: HashMap<&str, (ValueRange, Provenance)> = HashMap::new();
         for (name, (d, dprov)) in &deltas {
             let v0 = self.lookup(name).as_float();
             let mut prov = self.lookup_prov(name);
@@ -1292,28 +1217,28 @@ impl Absint<'_> {
                 ),
                 mean: None,
             };
-            finals.insert(name.clone(), (post, prov.clone()));
-            hulls.insert(name.clone(), (hull, prov));
+            finals.insert(name, (post, prov.clone()));
+            hulls.insert(name, (hull, prov));
         }
 
         // Pass B: walk the body once for its stores and nested effects,
         // with recurrences held at their iteration hull and every other
         // assigned variable widened to ⊤.
-        for name in &assigned {
-            match hulls.get(name.as_str()) {
+        for &name in &assigned {
+            match hulls.get(name) {
                 Some((h, p)) => self.assign_with(name, AVal::Float(*h), p.clone()),
                 None => self.widen_var(name),
             }
         }
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         self.bind(var, AVal::Int(IntRange::new(s0, e0 - 1)));
         self.eval_block(body, definite);
         self.scopes.pop();
 
         // Post-state: recurrences land on their closed forms; the rest
         // stays widened.
-        for name in &assigned {
-            match finals.get(name.as_str()) {
+        for &name in &assigned {
+            match finals.get(name) {
                 Some((f, p)) => self.assign_with(name, AVal::Float(*f), p.clone()),
                 None => self.widen_var(name),
             }
@@ -1326,62 +1251,30 @@ impl Absint<'_> {
 /// everything its definition (recursively) reads. The let's own name
 /// stays in the set, which is harmless — independence only tests
 /// `Assign` targets and stored buffers against it.
-fn reads_through_lets(
-    e: &Expr,
-    let_reads: &HashMap<String, (HashSet<String>, HashSet<String>)>,
-) -> (HashSet<String>, HashSet<String>) {
+fn reads_through_lets<'b>(
+    e: &'b Expr,
+    let_reads: &HashMap<&str, (HashSet<&'b str>, HashSet<&'b str>)>,
+) -> (HashSet<&'b str>, HashSet<&'b str>) {
     let mut vars = HashSet::new();
-    expr_vars(e, &mut vars);
     let mut loads = HashSet::new();
-    loaded_buffers(e, &mut loads);
+    visit_expr(e, &mut |x| match x {
+        Expr::Var(n) => {
+            vars.insert(n.as_str());
+        }
+        Expr::Load { buf, .. } => {
+            loads.insert(buf.as_str());
+        }
+        _ => {}
+    });
     // Entries in `let_reads` are already fully expanded at insertion,
     // so one substitution level closes the set.
     for v in vars.clone() {
-        if let Some((dv, dl)) = let_reads.get(&v) {
-            vars.extend(dv.iter().cloned());
-            loads.extend(dl.iter().cloned());
+        if let Some((dv, dl)) = let_reads.get(v) {
+            vars.extend(dv);
+            loads.extend(dl);
         }
     }
     (vars, loads)
-}
-
-fn count_assigns<'b>(stmts: &'b [Stmt], out: &mut HashMap<&'b str, usize>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { name, .. } => {
-                *out.entry(name.as_str()).or_insert(0) += 1;
-            }
-            Stmt::For { body, .. } => count_assigns(body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_assigns(then_body, out);
-                count_assigns(else_body, out);
-            }
-            Stmt::Let { .. } | Stmt::Store { .. } => {}
-        }
-    }
-}
-
-/// Hulls `other`'s bindings into `scopes` (same shape by construction:
-/// both sides grew from the same pre-state and popped their inner
-/// scopes).
-fn join_scopes(scopes: &mut [HashMap<String, Binding>], other: &[HashMap<String, Binding>]) {
-    for (mine, theirs) in scopes.iter_mut().zip(other) {
-        for (name, b) in theirs {
-            match mine.get_mut(name) {
-                Some(slot) => {
-                    slot.val = slot.val.hull(b.val);
-                    slot.prov = slot.prov.join(&b.prov);
-                }
-                None => {
-                    mine.insert(name.clone(), b.clone());
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1759,6 +1652,22 @@ mod tests {
     #[test]
     fn empty_contributions_are_unknown() {
         assert_eq!(verdict_for(&[], Precision::Half), PrecisionVerdict::Unknown);
+    }
+
+    #[test]
+    fn dangling_elem_of_is_top_not_a_panic() {
+        // A malformed kernel that skipped the type checker: the cast's
+        // target names no buffer, so its value is unconstrained.
+        let k = kernel("loose")
+            .buffer("o", Precision::Half, Access::Write)
+            .body(vec![store("o", int(0), cast_elem_of("ghost", flit(1.0)))]);
+        let env = LaunchBounds {
+            global: [1, 1],
+            ..LaunchBounds::default()
+        };
+        let stores = analyze_kernel(&k, &env);
+        assert_eq!(stores.len(), 1);
+        assert_eq!(stores[0].range, ValueRange::TOP);
     }
 
     #[test]

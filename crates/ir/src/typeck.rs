@@ -4,11 +4,11 @@
 //! it doubles as the post-condition of every precision-rewriting pass: a
 //! retyped or cast-inserted kernel must still check.
 
-use crate::ast::{Expr, Kernel, Param, Program, Stmt, TypeRef};
+use crate::ast::{Expr, Kernel, Param, Program, Scopes, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
 use crate::value::UnaryFn;
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A type error, with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +119,7 @@ pub fn check_kernel(kernel: &Kernel) -> Result<(), TypeError> {
     }
     let mut cx = Ctx {
         kernel,
-        scopes: vec![HashMap::new()],
+        scopes: Scopes::new(),
     };
     cx.check_block(&kernel.body)
 }
@@ -141,39 +141,29 @@ enum Binding {
 
 struct Ctx<'k> {
     kernel: &'k Kernel,
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Scopes<'k, Binding>,
 }
 
-impl Ctx<'_> {
+impl<'k> Ctx<'k> {
     fn err(&self, message: impl Into<String>) -> TypeError {
         TypeError::new(&self.kernel.name, message)
     }
 
     fn lookup(&self, name: &str) -> Option<Binding> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return Some(*b);
-            }
-        }
-        None
+        self.scopes.get(name).copied()
     }
 
-    fn declare(&mut self, name: &str, b: Binding) -> Result<(), TypeError> {
+    fn declare(&mut self, name: &'k str, b: Binding) -> Result<(), TypeError> {
         if self.kernel.param(name).is_some() {
             return Err(self.err(format!("`{name}` shadows a kernel parameter")));
         }
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        let top = self.scopes.len() - 1;
-        let scope = &mut self.scopes[top];
-        if scope.insert(name.to_owned(), b).is_some() {
+        if self.scopes.bind(name, b).is_some() {
             return Err(self.err(format!("redeclaration of `{name}` in the same scope")));
         }
         Ok(())
     }
 
-    fn check_block(&mut self, stmts: &[Stmt]) -> Result<(), TypeError> {
+    fn check_block(&mut self, stmts: &'k [Stmt]) -> Result<(), TypeError> {
         for s in stmts {
             self.check_stmt(s)?;
         }
@@ -184,13 +174,13 @@ impl Ctx<'_> {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<(), TypeError>,
     ) -> Result<(), TypeError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         let r = f(self);
         self.scopes.pop();
         r
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt) -> Result<(), TypeError> {
+    fn check_stmt(&mut self, stmt: &'k Stmt) -> Result<(), TypeError> {
         match stmt {
             Stmt::Let { name, ty, value } => {
                 let vt = self.infer(value)?;
@@ -299,7 +289,12 @@ impl Ctx<'_> {
                     });
                 }
                 match self.kernel.param(name) {
-                    Some(Param::Scalar { ty, .. }) => Ok(InferTy::Known(self.kernel.resolve(ty))),
+                    // `check_kernel` has vetted every parameter's `ElemOf`.
+                    Some(Param::Scalar { ty, .. }) => {
+                        self.kernel.resolve(ty).map(InferTy::Known).ok_or_else(|| {
+                            self.err(format!("parameter `{name}` has a dangling element type"))
+                        })
+                    }
                     Some(Param::Buffer { .. }) => {
                         Err(self.err(format!("buffer `{name}` used as a scalar")))
                     }

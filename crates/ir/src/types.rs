@@ -59,6 +59,15 @@ impl Precision {
             .collect()
     }
 
+    /// The precision a binary operation on operands of precisions `a` and
+    /// `b` computes in: the wider float, a float beside an integer, or
+    /// `None` when both operands are integers (`None < Some(_)` in
+    /// `Option`'s order, so this is the maximum).
+    #[must_use]
+    pub(crate) fn promote(a: Option<Precision>, b: Option<Precision>) -> Option<Precision> {
+        a.max(b)
+    }
+
     /// One step down, if any.
     #[must_use]
     pub const fn one_lower(self) -> Option<Precision> {

@@ -76,19 +76,6 @@ impl Scalar {
         }
     }
 
-    /// Boolean view.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the value is `Bool`.
-    #[must_use]
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Scalar::Bool(x) => *x,
-            other => panic!("expected a boolean, found {other:?}"),
-        }
-    }
-
     /// Numeric view, or `None` for booleans — the non-panicking twin of
     /// [`Scalar::as_f64`] for callers that must degrade on malformed
     /// kernels instead of aborting.
@@ -139,7 +126,10 @@ impl Scalar {
         match (a, b) {
             (Scalar::Int(x), Scalar::Int(y)) => Scalar::Int(op.apply_int(x, y)),
             _ => {
-                let p = promote(a, b);
+                // Both operands boolean is a type error the checker
+                // catches; default to double for robustness.
+                let p =
+                    Precision::promote(a.precision(), b.precision()).unwrap_or(Precision::Double);
                 match p {
                     Precision::Half => {
                         let x = F16::from_f64(a.as_f64());
@@ -156,21 +146,6 @@ impl Scalar {
             }
         }
     }
-
-    /// Compares two numeric values (in `f64`, which is exact for all
-    /// operand precisions).
-    #[must_use]
-    pub fn compare(op: CmpOp, a: Scalar, b: Scalar) -> Scalar {
-        let (x, y) = (a.as_f64(), b.as_f64());
-        Scalar::Bool(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-        })
-    }
 }
 
 impl fmt::Display for Scalar {
@@ -182,17 +157,6 @@ impl fmt::Display for Scalar {
             Scalar::Int(x) => write!(f, "{x}"),
             Scalar::Bool(x) => write!(f, "{x}"),
         }
-    }
-}
-
-/// The promotion precision for a mixed binary operation.
-fn promote(a: Scalar, b: Scalar) -> Precision {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => x.max(y),
-        (Some(x), None) | (None, Some(x)) => x,
-        // Int/Int never reaches here; Bool operands are a type error
-        // caught by the checker, so default to double for robustness.
-        (None, None) => Precision::Double,
     }
 }
 
@@ -214,7 +178,10 @@ pub enum FloatBinOp {
 }
 
 impl FloatBinOp {
-    fn apply_f64(self, x: f64, y: f64) -> f64 {
+    /// The operation in binary64.
+    #[inline]
+    #[must_use]
+    pub(crate) fn apply_f64(self, x: f64, y: f64) -> f64 {
         match self {
             FloatBinOp::Add => x + y,
             FloatBinOp::Sub => x - y,
@@ -225,7 +192,10 @@ impl FloatBinOp {
         }
     }
 
-    fn apply_f32(self, x: f32, y: f32) -> f32 {
+    /// The operation in binary32.
+    #[inline]
+    #[must_use]
+    pub(crate) fn apply_f32(self, x: f32, y: f32) -> f32 {
         match self {
             FloatBinOp::Add => x + y,
             FloatBinOp::Sub => x - y,
@@ -236,7 +206,16 @@ impl FloatBinOp {
         }
     }
 
-    fn apply_f16(self, x: F16, y: F16) -> F16 {
+    /// The operation in binary16. With both operands NaN the result is the
+    /// left one, quieted: the widened `f32` arithmetic would return
+    /// whichever operand the compiler happened to order first, and it may
+    /// commute them differently in each inlined copy of this rule.
+    #[inline]
+    #[must_use]
+    pub(crate) fn apply_f16(self, x: F16, y: F16) -> F16 {
+        if x.is_nan() && y.is_nan() {
+            return x + F16::ZERO;
+        }
         match self {
             FloatBinOp::Add => x + y,
             FloatBinOp::Sub => x - y,
@@ -247,7 +226,11 @@ impl FloatBinOp {
         }
     }
 
-    fn apply_int(self, x: i64, y: i64) -> i64 {
+    /// The operation on integers: wrapping `+ - *`, truncating `/` with
+    /// division by zero defined as 0, exact `min`/`max`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn apply_int(self, x: i64, y: i64) -> i64 {
         match self {
             FloatBinOp::Add => x.wrapping_add(y),
             FloatBinOp::Sub => x.wrapping_sub(y),
@@ -296,6 +279,21 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Whether `a op b` holds: exact on integers, IEEE on floats (a NaN
+    /// operand makes every comparison but `!=` false).
+    #[inline]
+    #[must_use]
+    pub(crate) fn holds<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+        }
+    }
+
     /// The C spelling of the operator.
     #[must_use]
     pub const fn c_symbol(self) -> &'static str {
@@ -425,10 +423,13 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_yield_bools() {
-        assert!(Scalar::compare(CmpOp::Lt, Scalar::Int(1), Scalar::Int(2)).as_bool());
-        assert!(Scalar::compare(CmpOp::Ge, Scalar::F64(2.0), Scalar::F64(2.0)).as_bool());
-        assert!(!Scalar::compare(CmpOp::Ne, Scalar::F32(1.0), Scalar::Int(1)).as_bool());
+    fn comparisons_hold_exactly() {
+        assert!(CmpOp::Lt.holds(1, 2));
+        assert!(CmpOp::Ge.holds(2.0, 2.0));
+        assert!(!CmpOp::Ne.holds(1.0, f64::from(1.0f32)));
+        assert!(!CmpOp::Eq.holds(f64::NAN, f64::NAN));
+        // Integers compare exactly, beyond f64's 53-bit mantissa.
+        assert!(CmpOp::Lt.holds(i64::MAX - 1, i64::MAX));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! `prescaler-verify` check runs it over the whole polybench suite,
 //! where zero diagnostics of any severity are expected.
 
-use crate::ast::{Expr, Kernel, Param, Program, Stmt, TypeRef};
+use crate::ast::{visit_expr, Expr, Kernel, Param, Program, Scopes, Stmt, TypeRef};
 use crate::typeck::check_kernel;
-use crate::value::FloatBinOp;
+use crate::value::{FloatBinOp, UnaryFn};
 use core::fmt;
 use std::collections::{HashMap, HashSet};
 
@@ -160,7 +160,7 @@ pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyDiagnostic> {
     let mut v = Verifier {
         kernel,
         diagnostics: Vec::new(),
-        scopes: vec![HashSet::new()],
+        scopes: Scopes::new(),
         used_params: HashSet::new(),
     };
     // Parameters can reference each other through `ElemOf` element
@@ -205,7 +205,7 @@ struct Verifier<'k> {
     kernel: &'k Kernel,
     diagnostics: Vec<VerifyDiagnostic>,
     /// Lexical scopes of locals and loop variables.
-    scopes: Vec<HashSet<String>>,
+    scopes: Scopes<'k, ()>,
     used_params: HashSet<String>,
 }
 
@@ -215,33 +215,21 @@ fn const_int(e: &Expr) -> Option<i64> {
     match e {
         Expr::IntConst(v) => Some(*v),
         Expr::Unary {
-            op: crate::value::UnaryFn::Neg,
+            op: UnaryFn::Neg,
             arg,
         } => const_int(arg).map(i64::wrapping_neg),
         Expr::Bin { op, lhs, rhs } => {
             let (l, r) = (const_int(lhs)?, const_int(rhs)?);
-            Some(match op {
-                FloatBinOp::Add => l.wrapping_add(r),
-                FloatBinOp::Sub => l.wrapping_sub(r),
-                FloatBinOp::Mul => l.wrapping_mul(r),
-                // Constant division by zero has no value to fold to;
-                // treating it as runtime-dependent keeps the index out
-                // of the OOB and dead-store logic entirely.
-                FloatBinOp::Div => {
-                    if r == 0 {
-                        return None;
-                    }
-                    l.wrapping_div(r)
-                }
-                FloatBinOp::Min => l.min(r),
-                FloatBinOp::Max => l.max(r),
-            })
+            // Constant division by zero has no value to fold to (the IR's
+            // 0 is a runtime convention); treating it as runtime-dependent
+            // keeps the index out of the OOB and dead-store logic entirely.
+            (*op != FloatBinOp::Div || r != 0).then(|| op.apply_int(l, r))
         }
         _ => None,
     }
 }
 
-impl Verifier<'_> {
+impl<'k> Verifier<'k> {
     fn diag(&mut self, d: VerifyDiagnostic) {
         self.diagnostics.push(d);
     }
@@ -251,22 +239,20 @@ impl Verifier<'_> {
     }
 
     fn bound(&self, name: &str) -> bool {
-        self.scopes.iter().any(|s| s.contains(name))
+        self.scopes.get(name).is_some()
     }
 
-    fn declare(&mut self, name: &str) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_owned());
-        }
+    fn declare(&mut self, name: &'k str) {
+        self.scopes.bind(name, ());
     }
 
     fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
-        self.scopes.push(HashSet::new());
+        self.scopes.push();
         f(self);
         self.scopes.pop();
     }
 
-    fn walk_block(&mut self, stmts: &[Stmt]) {
+    fn walk_block(&mut self, stmts: &'k [Stmt]) {
         // Straight-line dead-store scan: a pending store to a constant
         // index dies if the same (buffer, index) is stored again before
         // any read of that buffer. Control flow and dynamic indices
@@ -307,7 +293,7 @@ impl Verifier<'_> {
     /// Whether evaluating `e` loads from buffer `buf`.
     fn reads_buffer(&self, e: &Expr, buf: &str) -> bool {
         let mut found = false;
-        visit(e, &mut |x| {
+        visit_expr(e, &mut |x| {
             if let Expr::Load { buf: b, .. } = x {
                 if b == buf {
                     found = true;
@@ -317,7 +303,7 @@ impl Verifier<'_> {
         found
     }
 
-    fn walk_stmt(&mut self, stmt: &Stmt) {
+    fn walk_stmt(&mut self, stmt: &'k Stmt) {
         match stmt {
             Stmt::Let { name, ty, value } => {
                 if let Some(TypeRef::ElemOf(buf)) = ty {
@@ -385,7 +371,7 @@ impl Verifier<'_> {
     fn walk_expr(&mut self, e: &Expr) {
         let mut unbound: Vec<String> = Vec::new();
         let mut oob: Vec<(String, i64)> = Vec::new();
-        visit(e, &mut |x| match x {
+        visit_expr(e, &mut |x| match x {
             Expr::Var(name) => {
                 if self.bound(name) {
                     return;
@@ -430,26 +416,6 @@ impl Verifier<'_> {
                 buf,
                 index,
             });
-        }
-    }
-}
-
-/// Depth-first expression visitor (including sub-expressions of loads,
-/// casts, and selects).
-fn visit(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
-        Expr::Load { index, .. } => visit(index, f),
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => visit(arg, f),
-        Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-            visit(lhs, f);
-            visit(rhs, f);
-        }
-        Expr::Select { cond, then, els } => {
-            visit(cond, f);
-            visit(then, f);
-            visit(els, f);
         }
     }
 }

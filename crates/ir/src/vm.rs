@@ -32,9 +32,9 @@
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, ChunkPlan};
 use crate::array::FloatVec;
-use crate::ast::{Expr, Kernel, Param, Stmt, TypeRef};
+use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt};
 use crate::counts::OpCounts;
-use crate::interp::{ArgValue, BufferMap, ExecError, Launch};
+use crate::interp::{resolve, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
 use prescaler_fp16::F16;
@@ -364,7 +364,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         ops: Vec::new(),
         counts_table: Vec::new(),
         pending: OpCounts::new(),
-        scopes: vec![HashMap::new()],
+        scopes: Scopes::new(),
         next_i: 2, // iregs 0/1 are get_global_id(0)/(1)
         next_f: 0,
         params: Vec::new(),
@@ -392,7 +392,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                 let slot = n_slots;
                 n_slots += 1;
                 arg_slots.insert(name.clone(), slot);
-                match kernel.resolve(ty) {
+                match resolve(kernel, ty)? {
                     ScalarType::Int => {
                         let reg = c.alloc_i();
                         c.params.push(ParamBind::ScalarInt {
@@ -400,7 +400,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                             reg,
                             slot,
                         });
-                        c.scopes[0].insert(name.clone(), (Val::I(reg), CTy::Int));
+                        c.scopes.bind_root(name, (Val::I(reg), CTy::Int));
                     }
                     ScalarType::Float(prec) => {
                         let reg = c.alloc_f();
@@ -410,7 +410,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                             reg,
                             slot,
                         });
-                        c.scopes[0].insert(name.clone(), (Val::F(reg), CTy::F(prec)));
+                        c.scopes.bind_root(name, (Val::F(reg), CTy::F(prec)));
                     }
                     ScalarType::Bool => {
                         return Err(ExecError::KindError(format!(
@@ -450,7 +450,7 @@ struct Compiler<'k> {
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
     pending: OpCounts,
-    scopes: Vec<HashMap<String, (Val, CTy)>>,
+    scopes: Scopes<'k, (Val, CTy)>,
     next_i: u32,
     next_f: u32,
     params: Vec<ParamBind>,
@@ -494,21 +494,10 @@ impl<'k> Compiler<'k> {
     }
 
     fn lookup(&self, name: &str) -> Result<(Val, CTy), ExecError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(*v);
-            }
-        }
-        Err(ExecError::UnboundVar(name.to_owned()))
-    }
-
-    /// The innermost scope, recreating the root scope if it was lost.
-    fn top_scope(&mut self) -> &mut HashMap<String, (Val, CTy)> {
-        if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
-        }
-        let top = self.scopes.len() - 1;
-        &mut self.scopes[top]
+        self.scopes
+            .get(name)
+            .copied()
+            .ok_or_else(|| ExecError::UnboundVar(name.to_owned()))
     }
 
     /// Flushes the pending straight-line counts as a `Count` op.
@@ -545,7 +534,7 @@ impl<'k> Compiler<'k> {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         let r = f(self);
         self.scopes.pop();
         r
@@ -554,13 +543,13 @@ impl<'k> Compiler<'k> {
     fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), ExecError> {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let hint = ty.as_ref().and_then(|t| match self.kernel.resolve(t) {
-                    ScalarType::Float(p) => Some(p),
-                    _ => None,
-                });
-                let (mut v, mut t) = self.expr(value, hint)?;
-                if let Some(tr) = ty {
-                    (v, t) = self.coerce(v, t, self.kernel.resolve(tr));
+                let declared = match ty {
+                    Some(t) => Some(resolve(self.kernel, t)?),
+                    None => None,
+                };
+                let (mut v, mut t) = self.expr(value, declared.and_then(ScalarType::precision))?;
+                if let Some(target) = declared {
+                    (v, t) = self.coerce(v, t, target);
                 }
                 // Copy into a dedicated register so reassignment works.
                 let slot = match v {
@@ -575,7 +564,7 @@ impl<'k> Compiler<'k> {
                         Val::F(dst)
                     }
                 };
-                self.top_scope().insert(name.clone(), (slot, t));
+                self.scopes.bind(name, (slot, t));
             }
             Stmt::Assign { name, value } => {
                 let (slot, t) = self.lookup(name)?;
@@ -678,8 +667,7 @@ impl<'k> Compiler<'k> {
                 // Per-iteration loop bookkeeping (compare + increment).
                 self.pending.int_ops += 2;
                 self.scoped(|c| {
-                    c.top_scope()
-                        .insert(var.clone(), (Val::I(var_reg), CTy::Int));
+                    c.scopes.bind(var, (Val::I(var_reg), CTy::Int));
                     c.block(body)
                 })?;
                 self.flush();
@@ -810,11 +798,7 @@ impl<'k> Compiler<'k> {
                 let (v, t) = self.expr(arg, hint)?;
                 match t {
                     CTy::F(p) => {
-                        let slot = self.pending.at_mut(p);
-                        match op {
-                            UnaryFn::Neg | UnaryFn::Fabs => slot.add_sub += 1,
-                            _ => slot.special += 1,
-                        }
+                        self.pending.count_unary(*op, Some(p));
                         let dst = self.alloc_f();
                         self.ops.push(Op::FUn {
                             prec: p,
@@ -825,7 +809,7 @@ impl<'k> Compiler<'k> {
                         Ok((Val::F(dst), CTy::F(p)))
                     }
                     CTy::Int => {
-                        self.pending.int_ops += 1;
+                        self.pending.count_unary(*op, None);
                         match op {
                             UnaryFn::Neg | UnaryFn::Fabs => {
                                 let dst = self.alloc_i();
@@ -869,7 +853,7 @@ impl<'k> Compiler<'k> {
                 }
                 match (ta, tb) {
                     (CTy::Int, CTy::Int) => {
-                        self.pending.int_ops += 1;
+                        self.pending.count_bin(*op, None);
                         let dst = self.alloc_i();
                         self.ops.push(Op::IBin {
                             op: *op,
@@ -880,18 +864,10 @@ impl<'k> Compiler<'k> {
                         Ok((Val::I(dst), CTy::Int))
                     }
                     _ => {
-                        let p = promote_cty(ta, tb);
+                        let p = promote(ta, tb);
                         let fa = self.float_operand(a, ta, p);
                         let fb = self.float_operand(b, tb, p);
-                        let slot = self.pending.at_mut(p);
-                        match op {
-                            FloatBinOp::Add
-                            | FloatBinOp::Sub
-                            | FloatBinOp::Min
-                            | FloatBinOp::Max => slot.add_sub += 1,
-                            FloatBinOp::Mul => slot.mul += 1,
-                            FloatBinOp::Div => slot.div += 1,
-                        }
+                        self.pending.count_bin(*op, Some(p));
                         let dst = self.alloc_f();
                         self.ops.push(Op::FBin {
                             prec: p,
@@ -913,7 +889,7 @@ impl<'k> Compiler<'k> {
                 }
                 match (ta, tb) {
                     (CTy::Int, CTy::Int) => {
-                        self.pending.int_ops += 1;
+                        self.pending.count_cmp(None);
                         let dst = self.alloc_i();
                         self.ops.push(Op::ICmp {
                             op: *op,
@@ -924,8 +900,7 @@ impl<'k> Compiler<'k> {
                         Ok((Val::I(dst), CTy::Bool))
                     }
                     _ => {
-                        let p = promote_cty(ta, tb);
-                        self.pending.at_mut(p).cmp += 1;
+                        self.pending.count_cmp(Some(promote(ta, tb)));
                         // Comparisons are exact on the f64 values, so an
                         // integer operand widens without rounding.
                         let fa = self.float_operand(a, ta, Precision::Double);
@@ -943,10 +918,7 @@ impl<'k> Compiler<'k> {
             }
             Expr::Cast { to, arg } => {
                 let (v, t) = self.expr(arg, None)?;
-                let target = match to {
-                    TypeRef::Concrete(t) => *t,
-                    TypeRef::ElemOf(_) => self.kernel.resolve(to),
-                };
+                let target = resolve(self.kernel, to)?;
                 Ok(self.coerce(v, t, target))
             }
             Expr::Select { cond, then, els } => {
@@ -1005,21 +977,14 @@ impl<'k> Compiler<'k> {
         rhs: &'k Expr,
         hint: Option<Precision>,
     ) -> Result<(Val, CTy, Val, CTy), ExecError> {
-        let lw = expr_is_weak(lhs);
-        let rw = expr_is_weak(rhs);
-        if lw && !rw {
-            let (b, tb) = self.expr(rhs, hint)?;
-            let (a, ta) = self.expr(lhs, tb.precision())?;
-            Ok((a, ta, b, tb))
-        } else if rw && !lw {
-            let (a, ta) = self.expr(lhs, hint)?;
-            let (b, tb) = self.expr(rhs, ta.precision())?;
-            Ok((a, ta, b, tb))
-        } else {
-            let (a, ta) = self.expr(lhs, hint)?;
-            let (b, tb) = self.expr(rhs, hint)?;
-            Ok((a, ta, b, tb))
-        }
+        let ((a, ta), (b, tb)) = eval_operands(
+            lhs,
+            rhs,
+            hint,
+            |e, h| self.expr(e, h),
+            |&(_, t)| t.precision(),
+        )?;
+        Ok((a, ta, b, tb))
     }
 
     /// Materializes an operand as a float register for a promoted binop
@@ -1485,22 +1450,10 @@ fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
     out
 }
 
-fn expr_is_weak(e: &Expr) -> bool {
-    match e {
-        Expr::FloatConst(_) => true,
-        Expr::Unary { arg, .. } => expr_is_weak(arg),
-        Expr::Bin { lhs, rhs, .. } => expr_is_weak(lhs) && expr_is_weak(rhs),
-        Expr::Select { then, els, .. } => expr_is_weak(then) && expr_is_weak(els),
-        _ => false,
-    }
-}
-
-fn promote_cty(a: CTy, b: CTy) -> Precision {
-    match (a.precision(), b.precision()) {
-        (Some(x), Some(y)) => x.max(y),
-        (Some(x), None) | (None, Some(x)) => x,
-        (None, None) => Precision::Double,
-    }
+/// The precision a float operation on operands of types `a` and `b`
+/// computes in (callers have ruled out int/int and booleans).
+fn promote(a: CTy, b: CTy) -> Precision {
+    Precision::promote(a.precision(), b.precision()).unwrap_or(Precision::Double)
 }
 
 /// Rounds an exact f64 representation to a precision.
@@ -1516,58 +1469,26 @@ fn round_to(p: Precision, v: f64) -> f64 {
 #[inline]
 fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
     match p {
-        Precision::Double => apply_f64(op, a, b),
-        Precision::Single => {
-            let (x, y) = (a as f32, b as f32);
-            f64::from(match op {
-                FloatBinOp::Add => x + y,
-                FloatBinOp::Sub => x - y,
-                FloatBinOp::Mul => x * y,
-                FloatBinOp::Div => x / y,
-                FloatBinOp::Min => x.min(y),
-                FloatBinOp::Max => x.max(y),
-            })
-        }
+        Precision::Double => op.apply_f64(a, b),
+        Precision::Single => f64::from(op.apply_f32(a as f32, b as f32)),
         // Operands are exact binary16 values: one rounding of the f64
         // result is the correctly rounded binary16 result (module docs).
-        Precision::Half => match op {
-            FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Mul | FloatBinOp::Div => {
-                let v = apply_f64(op, a, b);
-                if v.is_nan() {
-                    apply_f16(op, a, b)
-                } else {
-                    F16::round_f64(v)
+        // `min`/`max`, and NaN results (whose payload f64 arithmetic
+        // leaves unspecified), take the widening `F16` operators.
+        Precision::Half => {
+            let f16 = || op.apply_f16(F16::from_f64(a), F16::from_f64(b)).to_f64();
+            match op {
+                FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Mul | FloatBinOp::Div => {
+                    let v = op.apply_f64(a, b);
+                    if v.is_nan() {
+                        f16()
+                    } else {
+                        F16::round_f64(v)
+                    }
                 }
+                FloatBinOp::Min | FloatBinOp::Max => f16(),
             }
-            FloatBinOp::Min | FloatBinOp::Max => apply_f16(op, a, b),
-        },
-    }
-}
-
-/// Binary16 arithmetic through the widening `F16` operators: `min`/`max`,
-/// and NaN results, whose payload `f64` arithmetic leaves unspecified.
-fn apply_f16(op: FloatBinOp, a: f64, b: f64) -> f64 {
-    let (x, y) = (F16::from_f64(a), F16::from_f64(b));
-    (match op {
-        FloatBinOp::Add => x + y,
-        FloatBinOp::Sub => x - y,
-        FloatBinOp::Mul => x * y,
-        FloatBinOp::Div => x / y,
-        FloatBinOp::Min => x.min(y),
-        FloatBinOp::Max => x.max(y),
-    })
-    .to_f64()
-}
-
-#[inline]
-fn apply_f64(op: FloatBinOp, a: f64, b: f64) -> f64 {
-    match op {
-        FloatBinOp::Add => a + b,
-        FloatBinOp::Sub => a - b,
-        FloatBinOp::Mul => a * b,
-        FloatBinOp::Div => a / b,
-        FloatBinOp::Min => a.min(b),
-        FloatBinOp::Max => a.max(b),
+        }
     }
 }
 
@@ -1582,48 +1503,6 @@ fn apply_fun(p: Precision, op: UnaryFn, a: f64) -> f64 {
         Precision::Double => Scalar::F64(a),
     };
     op.apply(s).as_f64()
-}
-
-#[inline]
-fn apply_icmp(op: CmpOp, a: i64, b: i64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-#[inline]
-fn apply_fcmp(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-#[inline]
-fn apply_ibin(op: FloatBinOp, a: i64, b: i64) -> i64 {
-    match op {
-        FloatBinOp::Add => a.wrapping_add(b),
-        FloatBinOp::Sub => a.wrapping_sub(b),
-        FloatBinOp::Mul => a.wrapping_mul(b),
-        FloatBinOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        FloatBinOp::Min => a.min(b),
-        FloatBinOp::Max => a.max(b),
-    }
 }
 
 impl CompiledKernel {
@@ -2144,7 +2023,7 @@ impl CompiledKernel {
                         Op::FMov { dst, src } => fregs[dst as usize] = fregs[src as usize],
                         Op::IBin { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                apply_ibin(op, iregs[a as usize], iregs[b as usize]);
+                                op.apply_int(iregs[a as usize], iregs[b as usize]);
                         }
                         Op::IAddImm { dst, a, imm } => {
                             iregs[dst as usize] = iregs[a as usize].wrapping_add(imm);
@@ -2163,11 +2042,11 @@ impl CompiledKernel {
                         }
                         Op::ICmp { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                i64::from(apply_icmp(op, iregs[a as usize], iregs[b as usize]));
+                                i64::from(op.holds(iregs[a as usize], iregs[b as usize]));
                         }
                         Op::FCmp { op, dst, a, b } => {
                             iregs[dst as usize] =
-                                i64::from(apply_fcmp(op, fregs[a as usize], fregs[b as usize]));
+                                i64::from(op.holds(fregs[a as usize], fregs[b as usize]));
                         }
                         Op::FBin {
                             prec,
@@ -2215,13 +2094,13 @@ impl CompiledKernel {
                             hits[idx as usize] += 1;
                         }
                         Op::JumpICmpFalse { op, a, b, target } => {
-                            if !apply_icmp(op, iregs[a as usize], iregs[b as usize]) {
+                            if !op.holds(iregs[a as usize], iregs[b as usize]) {
                                 pc = target as usize;
                                 continue;
                             }
                         }
                         Op::JumpFCmpFalse { op, a, b, target } => {
-                            if !apply_fcmp(op, fregs[a as usize], fregs[b as usize]) {
+                            if !op.holds(fregs[a as usize], fregs[b as usize]) {
                                 pc = target as usize;
                                 continue;
                             }
@@ -2332,7 +2211,7 @@ fn dot_loop<M: BufMem>(
     let at = |(is_var, v): (bool, i64), k: i64| if is_var { k } else { v };
     let mut acc = fregs[d.acc as usize];
     let mut trips = 0;
-    while apply_icmp(l.op, k, end) {
+    while l.op.holds(k, end) {
         let i1 = at(a1, k).wrapping_mul(at(b1, k)).wrapping_add(at(c1, k));
         let v1 = mem.load(d.buf1, i1)?;
         let i2 = at(a2, k).wrapping_mul(at(b2, k)).wrapping_add(at(c2, k));
@@ -2806,6 +2685,14 @@ mod tests {
             .buffer("c", Precision::Double, Access::Write)
             .body(vec![store("c", int(0), lt(int(0), int(1)) + flit(1.0))]);
         assert!(matches!(compile_kernel(&k), Err(ExecError::KindError(_))));
+        // A cast to the element type of a buffer that does not exist.
+        let k = kernel("bad")
+            .buffer("c", Precision::Single, Access::Write)
+            .body(vec![store("c", int(0), cast_elem_of("ghost", flit(1.0)))]);
+        assert!(matches!(
+            compile_kernel(&k),
+            Err(ExecError::NotABuffer(n)) if n == "ghost"
+        ));
     }
 
     /// A GEMM-shaped kernel with `a`/`b` at `ab` and `c` at `c_elem`.
@@ -3028,6 +2915,33 @@ mod tests {
             assert_eq!(c1, c2);
             assert_eq!(bufs["y"], bufs_fresh["y"], "shared scratch diverged");
         }
+    }
+
+    #[test]
+    fn a_shadowing_let_reads_the_outer_binding_on_every_trip() {
+        // Found by the differential fuzzer: each trip of a loop body is a
+        // fresh scope, so the initializer of a shadowing `let` reads the
+        // outer `t` on every trip, never the previous trip's shadow.
+        let k = kernel("shadow")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![
+                let_("t", flit(1.0)),
+                for_(
+                    "k",
+                    int(0),
+                    int(3),
+                    vec![
+                        let_("t", var("t") + flit(1.0)),
+                        store("c", var("k"), var("t")),
+                    ],
+                ),
+            ]);
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(3, Precision::Double));
+        let mut by_interp = bufs.clone();
+        run_kernel(&k, &mut by_interp, &Launch::one_d(1)).unwrap();
+        assert_eq!(by_interp["c"].to_f64_vec(), vec![2.0; 3]);
+        assert_equiv(&k, bufs, &Launch::one_d(1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::error::OclError;
 use crate::profile::{ObjectInfo, ProfileLog, Timeline, WriteStats};
 use crate::spec::ScalingSpec;
-use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
+use prescaler_ir::interp::{BufferMap, Launch};
 use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::typeck::check_kernel;
 use prescaler_ir::vm::{compile_kernel, CompiledKernel, VmScratch};
@@ -154,9 +154,6 @@ pub struct Session {
     /// paper's "compiler generates precision-scaled kernel in all
     /// possible cases" — here compiled lazily and cached).
     compiled: HashMap<(String, Vec<Precision>), std::sync::Arc<CompiledKernel>>,
-    /// Use the reference tree-walking interpreter instead of the bytecode
-    /// VM (slow; for differential testing).
-    use_interpreter: bool,
     /// How transient faults are retried.
     retry: RetryPolicy,
     /// Register/binding storage reused across kernel launches.
@@ -178,7 +175,6 @@ impl Session {
             buffers: Vec::new(),
             log: ProfileLog::default(),
             compiled: HashMap::new(),
-            use_interpreter: false,
             retry: RetryPolicy::default(),
             scratch: VmScratch::new(),
             exec_threads: default_exec_threads(),
@@ -274,13 +270,6 @@ impl Session {
                 data.set(idx, c.poison.value());
             }
         }
-    }
-
-    /// Switches kernel execution to the reference interpreter (an order
-    /// of magnitude slower; produces bit-identical results — used for
-    /// differential testing of the VM).
-    pub fn set_use_interpreter(&mut self, yes: bool) {
-        self.use_interpreter = yes;
     }
 
     /// The simulated system.
@@ -503,9 +492,9 @@ impl Session {
     /// The kernel actually executed is the program's kernel *re-typed to
     /// the bound buffers' device precisions* (the spec's memory-object
     /// scaling), then transformed by the spec's in-kernel cast map if one
-    /// is present. The transformed kernel is re-checked, interpreted
-    /// functionally, and its dynamic operation counts are priced on the
-    /// GPU model.
+    /// is present. The transformed kernel is re-checked, compiled once per
+    /// variant, executed functionally by the VM, and its dynamic operation
+    /// counts are priced on the GPU model.
     ///
     /// # Errors
     ///
@@ -592,38 +581,22 @@ impl Session {
                 })
                 .collect::<Vec<Precision>>(),
         );
-        // Exactly one execution engine per launch, decided here — making
-        // the choice a total enum (instead of two `Option`s with an
-        // implicit invariant) keeps the dispatch below panic-free.
-        enum Engine {
-            Interp(prescaler_ir::Kernel),
-            Compiled(std::sync::Arc<CompiledKernel>),
-        }
-        let scale_variant = |session: &Session| -> prescaler_ir::Kernel {
-            let kernel = session.program.kernel(name).expect("existence checked");
+        let compiled = if let Some(c) = self.compiled.get(&variant_key) {
+            c.clone()
+        } else {
+            let kernel = self.program.kernel(name).expect("existence checked");
             let mut scaled = retype_buffers(kernel, &retype);
-            if let Some(compute) = session.spec.in_kernel.get(name) {
+            if let Some(compute) = self.spec.in_kernel.get(name) {
                 scaled = insert_casts(&scaled, compute);
             }
-            scaled
-        };
-        let engine = if self.use_interpreter {
-            let scaled = scale_variant(self);
-            check_kernel(&scaled)?;
-            reject_verifier_errors(&scaled)?;
-            Engine::Interp(scaled)
-        } else if let Some(c) = self.compiled.get(&variant_key) {
-            Engine::Compiled(c.clone())
-        } else {
-            let scaled = scale_variant(self);
             check_kernel(&scaled)?;
             reject_verifier_errors(&scaled)?;
             let c = std::sync::Arc::new(compile_kernel(&scaled)?);
             self.compiled.insert(variant_key, c.clone());
-            Engine::Compiled(c)
+            c
         };
 
-        // Move the bound buffers into an interpreter map, run, move back.
+        // Move the bound buffers into a launch map, run, move back.
         let mut map = BufferMap::new();
         for (pname, id) in &buffer_args {
             map.insert(
@@ -634,12 +607,10 @@ impl Session {
                 ),
             );
         }
-        let result = match &engine {
-            Engine::Interp(k) => run_kernel(k, &mut map, &launch),
-            Engine::Compiled(c) if self.exec_threads > 1 => {
-                c.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads)
-            }
-            Engine::Compiled(c) => c.run_with_scratch(&mut map, &launch, &mut self.scratch),
+        let result = if self.exec_threads > 1 {
+            compiled.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads)
+        } else {
+            compiled.run_with_scratch(&mut map, &launch, &mut self.scratch)
         };
         for (pname, id) in &buffer_args {
             if let Some(data) = map.remove(pname.as_str()) {

@@ -27,6 +27,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
     -D clippy::needless-continue \
     -D clippy::manual-let-else
 cargo fmt --all --check
+# Rustdoc gate: every intra-doc link must resolve, so documentation can
+# never keep pointing at a deleted item or leak a private one.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # IR verifier gate: every shipped polybench kernel must verify with zero
 # diagnostics of any severity, and the verifier must still reject each
