@@ -14,8 +14,8 @@
 //!   with exact dynamic operation counts;
 //! * [`vm`] — a bytecode compiler and VM, bit-identical to the interpreter
 //!   (outputs and operation counts) and much faster;
-//! * [`analysis`] — the disjoint-write analysis that lets the VM run a
-//!   launch in parallel chunks;
+//! * [`analysis`] — the disjoint-access analysis that lets the VM run a
+//!   launch in parallel chunks and its rows in lock-step blocks;
 //! * [`range`] — forward value-range dataflow (interval arithmetic with
 //!   widening at loop heads) proving precision-safety verdicts;
 //! * [`verify`] — a structural IR verifier with typed diagnostics, run

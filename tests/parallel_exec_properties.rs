@@ -306,3 +306,62 @@ fn poisoned_inputs_are_thread_count_invariant_at_the_vm_level() {
         }
     }
 }
+
+/// Every polybench kernel's lock-step verdict on its launches at scale
+/// 0.1: all admitted but the two triangular `*_compute` kernels, whose
+/// inner loop starts at gid0 — its counter is no launch-uniform index
+/// dimension, so their stores are not affine.
+#[test]
+fn polybench_lockstep_verdicts_at_scale_one_tenth() {
+    use prescaler_ir::ScalarBound;
+    use prescaler_ocl::{run_app, Event};
+    use prescaler_polybench::InputSet;
+
+    let refused = ["corr_compute", "covar_compute"];
+    let mut seen = Vec::new();
+    for &kind in &BenchKind::ALL {
+        let app = PolyApp::new(kind, kind.dims(0.1), InputSet::Default, 7);
+        let (_, log) = run_app(&app, &SystemModel::system1(), &ScalingSpec::baseline())
+            .expect("baseline runs");
+        let program = app.program();
+        for event in &log.events {
+            let Event::KernelLaunch {
+                kernel,
+                scalar_args,
+                global,
+                ..
+            } = event
+            else {
+                continue;
+            };
+            let launch = scalar_args.iter().fold(
+                Launch {
+                    global: *global,
+                    args: Vec::new(),
+                },
+                |l, (name, v)| match v {
+                    ScalarBound::Int(i) => l.arg_int(name.clone(), *i),
+                    ScalarBound::Float(f) => l.arg_float(name.clone(), *f),
+                },
+            );
+            let compiled =
+                compile_kernel(program.kernel(kernel).expect("logged kernel")).expect("compiles");
+            let lockstep = compiled.plan(&BufferMap::new(), &launch, 1).lockstep();
+            match compiled.parallel_safety() {
+                ParallelSafety::Unproven(why) => {
+                    assert!(refused.contains(&kernel.as_str()), "{kernel}: {why}");
+                    assert_eq!(*why, "a store index is not affine in the global id");
+                    assert!(!lockstep);
+                }
+                ParallelSafety::Disjoint(summary) => {
+                    assert_eq!(summary.lockstep(&launch, 64), Ok(()), "{kernel}");
+                    assert!(lockstep, "{kernel} at {global:?}");
+                }
+            }
+            seen.push(kernel.clone());
+        }
+    }
+    seen.sort();
+    seen.dedup();
+    assert_eq!(seen.len(), 27, "every polybench kernel launched: {seen:?}");
+}
