@@ -418,17 +418,34 @@ pub(crate) fn assigned_vars(stmts: &[Stmt]) -> HashSet<&str> {
 /// Lexical scopes of an AST walker: a stack of name → `V` maps, innermost
 /// last. The root scope is never popped, so a binding always has a frame
 /// to land in. What a name means when no scope binds it (a parameter, an
-/// error) is the walker's own rule.
+/// error) is the walker's own rule. A frame holds a handful of names, so
+/// it is a list searched in order: cheaper than hashing every lookup.
 #[derive(Clone)]
 pub(crate) struct Scopes<'k, V> {
-    frames: Vec<HashMap<&'k str, V>>,
+    frames: Vec<Vec<(&'k str, V)>>,
+}
+
+/// The binding of `name` in one frame.
+fn slot<'f, 'k, V>(frame: &'f mut [(&'k str, V)], name: &str) -> Option<&'f mut V> {
+    frame.iter_mut().find(|(n, _)| *n == name).map(|(_, v)| v)
+}
+
+/// Binds `name` in one frame, returning the binding it replaced there.
+fn insert<'k, V>(frame: &mut Vec<(&'k str, V)>, name: &'k str, v: V) -> Option<V> {
+    match slot(frame, name) {
+        Some(old) => Some(std::mem::replace(old, v)),
+        None => {
+            frame.push((name, v));
+            None
+        }
+    }
 }
 
 impl<'k, V> Scopes<'k, V> {
     /// A stack holding one empty root scope.
     pub(crate) fn new() -> Self {
         Scopes {
-            frames: vec![HashMap::new()],
+            frames: vec![Vec::new()],
         }
     }
 
@@ -440,7 +457,7 @@ impl<'k, V> Scopes<'k, V> {
 
     /// Opens a nested scope.
     pub(crate) fn push(&mut self) {
-        self.frames.push(HashMap::new());
+        self.frames.push(Vec::new());
     }
 
     /// Closes the innermost scope; the root scope stays.
@@ -452,24 +469,27 @@ impl<'k, V> Scopes<'k, V> {
 
     /// The innermost binding of `name`.
     pub(crate) fn get(&self, name: &str) -> Option<&V> {
-        self.frames.iter().rev().find_map(|f| f.get(name))
+        self.frames
+            .iter()
+            .rev()
+            .find_map(|f| f.iter().find(|(n, _)| *n == name).map(|(_, v)| v))
     }
 
     /// The innermost binding of `name`, mutably.
     pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut V> {
-        self.frames.iter_mut().rev().find_map(|f| f.get_mut(name))
+        self.frames.iter_mut().rev().find_map(|f| slot(f, name))
     }
 
     /// Binds `name` in the innermost scope, returning the binding it
     /// replaced in that same scope (shadowed outer bindings stay).
     pub(crate) fn bind(&mut self, name: &'k str, v: V) -> Option<V> {
         let top = self.frames.len() - 1;
-        self.frames[top].insert(name, v)
+        insert(&mut self.frames[top], name, v)
     }
 
     /// Binds `name` in the root scope.
     pub(crate) fn bind_root(&mut self, name: &'k str, v: V) -> Option<V> {
-        self.frames[0].insert(name, v)
+        insert(&mut self.frames[0], name, v)
     }
 
     /// Merges `other`, grown from the same pre-state and popped back to the
@@ -480,12 +500,10 @@ impl<'k, V> Scopes<'k, V> {
         V: Clone,
     {
         for (mine, theirs) in self.frames.iter_mut().zip(&other.frames) {
-            for (&name, v) in theirs {
-                match mine.get_mut(name) {
-                    Some(slot) => join(slot, v),
-                    None => {
-                        mine.insert(name, v.clone());
-                    }
+            for (name, v) in theirs {
+                match slot(mine, name) {
+                    Some(s) => join(s, v),
+                    None => mine.push((name, v.clone())),
                 }
             }
         }
