@@ -392,35 +392,17 @@ impl FaultPlan {
     /// twice therefore replays the exact same faults, which is what makes
     /// memoized and speculatively parallel trial execution deterministic.
     /// Forks of an inert plan are inert.
+    ///
+    /// A `clone()` is not a fork: it shares the per-site counters through
+    /// the `Arc`, so it *continues* the parent's stream, and draws on
+    /// either side advance both. Handing a clone to a sub-experiment
+    /// silently couples its faults to how far the parent has drawn.
     #[must_use]
     pub fn fork(&self, salt: u64) -> FaultPlan {
         FaultPlan::new(FaultConfig {
             seed: splitmix64(self.config.seed ^ salt),
             ..self.config
         })
-    }
-
-    /// Forks a plan with the *same* configuration (seed included) but
-    /// fresh counters starting at zero.
-    ///
-    /// This is the explicit spelling of "replay this plan from the top
-    /// in isolation". It differs from both neighbours in ways that have
-    /// bitten before:
-    ///
-    /// * `clone()` shares the per-site counters through the `Arc`, so a
-    ///   clone *continues* the parent's stream — draws on either side
-    ///   advance both. Handing a clone to a sub-experiment silently
-    ///   couples its faults to how far the parent has already drawn.
-    /// * [`FaultPlan::fork`] derives a *different* seed from a salt, so
-    ///   the child replays a decorrelated stream.
-    ///
-    /// `fork_fresh` replays the *identical* stream from position zero,
-    /// unaffected by the parent's progress and without perturbing it —
-    /// what a test harness wants when it re-runs one scenario for
-    /// comparison against a recorded outcome.
-    #[must_use]
-    pub fn fork_fresh(&self) -> FaultPlan {
-        FaultPlan::new(self.config)
     }
 
     /// The plan's configuration.
@@ -433,12 +415,6 @@ impl FaultPlan {
     #[must_use]
     pub fn is_inert(&self) -> bool {
         self.config.is_inert()
-    }
-
-    /// True when clock noise is enabled.
-    #[must_use]
-    pub fn has_clock_noise(&self) -> bool {
-        self.config.clock_noise > 0.0
     }
 
     /// Resets the fault stream to its beginning (counters to zero).
@@ -893,35 +869,6 @@ mod tests {
             FaultPlan::none().fork(99).is_inert(),
             "forks of an inert plan are inert"
         );
-    }
-
-    #[test]
-    fn fresh_forks_replay_while_clones_share() {
-        let collect =
-            |plan: &FaultPlan| -> Vec<bool> { (0..100).map(|_| plan.transfer_fails()).collect() };
-        let parent = FaultPlan::seeded(7).with_transfer_failures(0.5);
-        let from_top = collect(&parent.fork_fresh());
-        // Advance the parent; a clone continues mid-stream, a fresh fork
-        // still replays from the top — and drawing from the fork must not
-        // have advanced the parent either.
-        for _ in 0..17 {
-            let _ = parent.transfer_fails();
-        }
-        let cloned = parent.clone();
-        assert_ne!(
-            collect(&cloned),
-            from_top,
-            "a clone shares the advanced counter"
-        );
-        let fresh = parent.fork_fresh();
-        assert_eq!(collect(&fresh), from_top, "fresh fork replays from zero");
-        assert_eq!(fresh.config(), parent.config(), "configuration is kept");
-        // 17 parent draws + 100 clone draws; the two fork_fresh streams
-        // drew 200 times without moving the shared counter.
-        let continued = parent.transfer_fails();
-        let reference = FaultPlan::seeded(7).with_transfer_failures(0.5);
-        let replay: Vec<bool> = (0..118).map(|_| reference.transfer_fails()).collect();
-        assert_eq!(continued, replay[117], "forks never perturb the parent");
     }
 
     #[test]

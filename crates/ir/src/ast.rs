@@ -9,7 +9,7 @@
 
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Identifier for kernel parameters, locals and loop variables.
 pub type Ident = String;
@@ -426,7 +426,7 @@ pub(crate) struct Scopes<'k, V> {
 }
 
 /// The binding of `name` in one frame.
-fn slot<'f, 'k, V>(frame: &'f mut [(&'k str, V)], name: &str) -> Option<&'f mut V> {
+fn slot<'f, V>(frame: &'f mut [(&str, V)], name: &str) -> Option<&'f mut V> {
     frame.iter_mut().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 

@@ -7,7 +7,7 @@
 //! turns the counts into virtual kernel time using per-architecture
 //! throughput tables.
 
-use crate::types::Precision;
+use crate::types::{Precision, ScalarType};
 use crate::value::{FloatBinOp, UnaryFn};
 use core::ops::{Add, AddAssign, Mul};
 
@@ -140,6 +140,17 @@ impl OpCounts {
             Some(p) => self.at_mut(p).cmp += 1,
             None => self.int_ops += 1,
         }
+    }
+
+    /// Tallies the coercion of a value of type `from` to type `to` and says
+    /// whether it converts: a float changing precision, or a value crossing
+    /// between integer and float (casts, typed `let`s, assignments, stores,
+    /// `select` arms). A boolean, or a value already of type `to`, passes
+    /// through unconverted.
+    pub(crate) fn count_convert(&mut self, from: ScalarType, to: ScalarType) -> bool {
+        let converts = from != to && from != ScalarType::Bool && to != ScalarType::Bool;
+        self.converts += u64::from(converts);
+        converts
     }
 
     /// Scales all counters by `k` (e.g. one work-item's counts × items).

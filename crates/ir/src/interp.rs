@@ -160,6 +160,14 @@ pub(crate) fn resolve(kernel: &Kernel, ty: &TypeRef) -> Result<ScalarType, ExecE
     })
 }
 
+/// The type a `select` with arms of types `a` and `b` yields
+/// ([`ScalarType::select`]); arms of different kinds (a kernel that
+/// bypassed the type checker) are an [`ExecError::KindError`].
+pub(crate) fn select_type(a: ScalarType, b: ScalarType) -> Result<ScalarType, ExecError> {
+    ScalarType::select(a, b)
+        .ok_or_else(|| ExecError::KindError("select arms disagree in kind".to_owned()))
+}
+
 /// Runs `kernel` over the launch NDRange against `buffers`, returning the
 /// exact dynamic operation counts.
 ///
@@ -305,11 +313,10 @@ impl<'a> Interp<'a> {
                 let stored = v.try_f64().ok_or_else(|| {
                     ExecError::KindError(format!("cannot store a boolean into `{buf}`"))
                 })?;
-                // Implicit store conversion is a real convert instruction
-                // when the value's precision differs from the buffer's.
-                if v.precision() != Some(elem) {
-                    self.counts.converts += 1;
-                }
+                // The implicit store conversion is a real convert
+                // instruction; the buffer rounds the value itself.
+                self.counts
+                    .count_convert(v.scalar_type(), ScalarType::Float(elem));
                 let arr = self
                     .buffers
                     .get_mut(buf.as_str())
@@ -369,29 +376,15 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Converts a scalar to a target type, counting a real conversion when
-    /// the representation changes.
+    /// Converts a scalar to a target type where
+    /// [`OpCounts::count_convert`] counts a conversion.
     fn coerce(&mut self, v: Scalar, target: ScalarType) -> Scalar {
-        match (v, target) {
-            (Scalar::Bool(_), _) => v,
-            (_, ScalarType::Bool) => v,
-            (Scalar::Int(_), ScalarType::Int) => v,
-            (Scalar::Int(x), ScalarType::Float(p)) => {
-                self.counts.converts += 1;
-                Scalar::float(x as f64, p)
-            }
-            (_, ScalarType::Int) => {
-                self.counts.converts += 1;
-                Scalar::Int(v.as_f64().trunc() as i64)
-            }
-            (_, ScalarType::Float(p)) => {
-                if v.precision() == Some(p) {
-                    v
-                } else {
-                    self.counts.converts += 1;
-                    v.cast_float(p)
-                }
-            }
+        if !self.counts.count_convert(v.scalar_type(), target) {
+            return v;
+        }
+        match target {
+            ScalarType::Float(p) => v.cast_float(p),
+            _ => Scalar::Int(v.as_f64().trunc() as i64),
         }
     }
 
@@ -475,27 +468,11 @@ impl<'a> Interp<'a> {
                 // the taken side's value is kept; we evaluate both so the
                 // counts reflect lock-step SIMT execution.
                 let (a, b) = self.eval_pair(then, els, hint)?;
-                // Mixed-precision arms convert the narrower arm to the
-                // promoted type before selecting (one real conversion,
-                // branch-independent — the checker rejects int/float
-                // mixes).
-                match (a.precision(), b.precision()) {
-                    (Some(pa), Some(pb)) if pa != pb => {
-                        let p = pa.max(pb);
-                        let a2 = if pa < p {
-                            self.coerce(a, ScalarType::Float(p))
-                        } else {
-                            a
-                        };
-                        let b2 = if pb < p {
-                            self.coerce(b, ScalarType::Float(p))
-                        } else {
-                            b
-                        };
-                        Ok(if c { a2 } else { b2 })
-                    }
-                    _ => Ok(if c { a } else { b }),
-                }
+                // The narrower of two float arms converts before the
+                // select, whichever side is taken.
+                let t = select_type(a.scalar_type(), b.scalar_type())?;
+                let (a, b) = (self.coerce(a, t), self.coerce(b, t));
+                Ok(if c { a } else { b })
             }
         }
     }
@@ -802,5 +779,31 @@ mod tests {
             matches!(err, ExecError::NotABuffer(ref n) if n == "ghost"),
             "{err}"
         );
+
+        // A select whose arms differ in kind: int/float, and booleans.
+        let mixed_select = kernel("bad_select")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![store(
+                "c",
+                int(0),
+                select(lt(int(0), int(1)), int(3), flit(1.0)),
+            )]);
+        let bool_select = kernel("bad_bool_select")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![if_(
+                select(lt(int(0), int(1)), lt(int(0), int(1)), lt(int(1), int(0))),
+                vec![store("c", int(0), flit(1.0))],
+            )]);
+        for k in [mixed_select, bool_select] {
+            let mut bufs = BufferMap::new();
+            bufs.insert("c".into(), FloatVec::zeros(1, Precision::Double));
+            let err = run_kernel(&k, &mut bufs, &Launch::one_d(1)).unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::KindError("select arms disagree in kind".into()),
+                "{}",
+                k.name
+            );
+        }
     }
 }

@@ -111,6 +111,20 @@ impl ScalarType {
     pub const fn is_float(self) -> bool {
         matches!(self, ScalarType::Float(_))
     }
+
+    /// The type a `select` with arms of types `a` and `b` yields: an
+    /// integer from two integers, and from two floats the wider precision,
+    /// to which the narrower arm converts. `None` for arms that differ in
+    /// kind, whose conversion would depend on the branch taken, and for
+    /// boolean arms; the type checker rejects both.
+    #[must_use]
+    pub(crate) fn select(a: ScalarType, b: ScalarType) -> Option<ScalarType> {
+        match (a, b) {
+            (ScalarType::Int, ScalarType::Int) => Some(ScalarType::Int),
+            (ScalarType::Float(p), ScalarType::Float(q)) => Some(ScalarType::Float(p.max(q))),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for ScalarType {

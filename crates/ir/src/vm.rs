@@ -49,7 +49,7 @@ use crate::analysis::{self, WriteSummary};
 use crate::array::FloatVec;
 use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt};
 use crate::counts::OpCounts;
-use crate::interp::{resolve, ArgValue, BufferMap, ExecError, Launch};
+use crate::interp::{resolve, select_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
 use crate::value::{CmpOp, FloatBinOp, UnaryFn};
 use prescaler_fp16::F16;
@@ -324,23 +324,6 @@ fn restore(buffers: &mut BufferMap, bufs: &mut Vec<(String, FloatVec)>) {
     }
 }
 
-/// Compile-time value classification.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum CTy {
-    Int,
-    F(Precision),
-    Bool,
-}
-
-impl CTy {
-    fn precision(self) -> Option<Precision> {
-        match self {
-            CTy::F(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 /// Compile-time value location.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Val {
@@ -416,7 +399,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                             reg,
                             slot,
                         });
-                        c.scopes.bind_root(name, (Val::I(reg), CTy::Int));
+                        c.scopes.bind_root(name, (Val::I(reg), ScalarType::Int));
                     }
                     ScalarType::Float(prec) => {
                         let reg = c.alloc_f();
@@ -426,7 +409,8 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
                             reg,
                             slot,
                         });
-                        c.scopes.bind_root(name, (Val::F(reg), CTy::F(prec)));
+                        c.scopes
+                            .bind_root(name, (Val::F(reg), ScalarType::Float(prec)));
                     }
                     ScalarType::Bool => {
                         return Err(ExecError::KindError(format!(
@@ -466,7 +450,7 @@ struct Compiler<'k> {
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
     pending: OpCounts,
-    scopes: Scopes<'k, (Val, CTy)>,
+    scopes: Scopes<'k, (Val, ScalarType)>,
     next_i: u32,
     next_f: u32,
     params: Vec<ParamBind>,
@@ -509,7 +493,7 @@ impl<'k> Compiler<'k> {
         r
     }
 
-    fn lookup(&self, name: &str) -> Result<(Val, CTy), ExecError> {
+    fn lookup(&self, name: &str) -> Result<(Val, ScalarType), ExecError> {
         self.scopes
             .get(name)
             .copied()
@@ -586,12 +570,7 @@ impl<'k> Compiler<'k> {
                 let (slot, t) = self.lookup(name)?;
                 let hint = t.precision();
                 let (v, vt) = self.expr(value, hint)?;
-                let target = match t {
-                    CTy::Int => ScalarType::Int,
-                    CTy::F(p) => ScalarType::Float(p),
-                    CTy::Bool => ScalarType::Bool,
-                };
-                let (v, _) = self.coerce(v, vt, target);
+                let (v, _) = self.coerce(v, vt, t);
                 match (slot, v) {
                     (Val::I(dst), Val::I(src)) => self.ops.push(Op::IMov { dst, src }),
                     (Val::F(dst), Val::F(src)) => self.ops.push(Op::FMov { dst, src }),
@@ -607,35 +586,33 @@ impl<'k> Compiler<'k> {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
                 let (iv, it) = self.expr(index, None)?;
-                if it != CTy::Int {
+                if it != ScalarType::Int {
                     return Err(ExecError::KindError(format!(
                         "index into `{buf}` must be an integer"
                     )));
                 }
                 let idx = iv.ireg();
                 let (v, vt) = self.expr(value, Some(elem))?;
-                // Mirror the interpreter: a store converts unless the value
-                // is already a float of the element precision.
-                let src = match vt {
-                    CTy::F(p) if p == elem => v.freg(),
-                    CTy::F(_) => {
-                        self.pending.converts += 1;
-                        v.freg() // Store itself rounds to the element type
-                    }
-                    CTy::Int => {
-                        self.pending.converts += 1;
+                if vt == ScalarType::Bool {
+                    return Err(ExecError::KindError(format!(
+                        "cannot store a boolean into `{buf}`"
+                    )));
+                }
+                // The implicit store conversion is a real convert
+                // instruction. `Store` rounds a float to the element type
+                // itself; an integer widens to double first, as the
+                // interpreter's does.
+                self.pending.count_convert(vt, ScalarType::Float(elem));
+                let src = match v {
+                    Val::F(r) => r,
+                    Val::I(a) => {
                         let dst = self.alloc_f();
                         self.ops.push(Op::IToF {
                             prec: Precision::Double,
                             dst,
-                            a: v.ireg(),
+                            a,
                         });
                         dst
-                    }
-                    CTy::Bool => {
-                        return Err(ExecError::KindError(format!(
-                            "cannot store a boolean into `{buf}`"
-                        )));
                     }
                 };
                 self.pending.at_mut(elem).stores += 1;
@@ -652,7 +629,7 @@ impl<'k> Compiler<'k> {
             } => {
                 let (sv, st) = self.expr(start, None)?;
                 let (ev, et) = self.expr(end, None)?;
-                if st != CTy::Int || et != CTy::Int {
+                if st != ScalarType::Int || et != ScalarType::Int {
                     return Err(ExecError::KindError(format!(
                         "loop bound for `{var}` must be an integer"
                     )));
@@ -683,7 +660,7 @@ impl<'k> Compiler<'k> {
                 // Per-iteration loop bookkeeping (compare + increment).
                 self.pending.int_ops += 2;
                 self.scoped(|c| {
-                    c.scopes.bind(var, (Val::I(var_reg), CTy::Int));
+                    c.scopes.bind(var, (Val::I(var_reg), ScalarType::Int));
                     c.block(body)
                 })?;
                 self.flush();
@@ -702,7 +679,7 @@ impl<'k> Compiler<'k> {
                 else_body,
             } => {
                 let (cv, ct) = self.expr(cond, None)?;
-                if ct != CTy::Bool {
+                if ct != ScalarType::Bool {
                     return Err(ExecError::KindError(
                         "if condition must be a boolean".to_owned(),
                     ));
@@ -734,66 +711,55 @@ impl<'k> Compiler<'k> {
         Ok(())
     }
 
-    /// Coerces a value to a scalar type, mirroring `Interp::coerce`
-    /// (counts a conversion when the representation changes).
-    fn coerce(&mut self, v: Val, t: CTy, target: ScalarType) -> (Val, CTy) {
-        match (t, target) {
-            (CTy::Bool, _) | (_, ScalarType::Bool) => (v, t),
-            (CTy::Int, ScalarType::Int) => (v, t),
-            (CTy::Int, ScalarType::Float(p)) => {
-                self.pending.converts += 1;
+    /// Coerces a value of type `t` to a target type, emitting a
+    /// conversion where [`OpCounts::count_convert`] counts one.
+    fn coerce(&mut self, v: Val, t: ScalarType, target: ScalarType) -> (Val, ScalarType) {
+        if !self.pending.count_convert(t, target) {
+            return (v, t);
+        }
+        let converted = match target {
+            ScalarType::Float(prec) => {
                 let dst = self.alloc_f();
-                self.ops.push(Op::IToF {
-                    prec: p,
-                    dst,
-                    a: v.ireg(),
+                self.ops.push(match v {
+                    Val::I(a) => Op::IToF { prec, dst, a },
+                    Val::F(a) => Op::Cvt { prec, dst, a },
                 });
-                (Val::F(dst), CTy::F(p))
+                Val::F(dst)
             }
-            (CTy::F(_), ScalarType::Int) => {
-                self.pending.converts += 1;
+            _ => {
                 let dst = self.alloc_i();
                 self.ops.push(Op::FToI { dst, a: v.freg() });
-                (Val::I(dst), CTy::Int)
+                Val::I(dst)
             }
-            (CTy::F(q), ScalarType::Float(p)) => {
-                if q == p {
-                    (v, t)
-                } else {
-                    self.pending.converts += 1;
-                    let dst = self.alloc_f();
-                    self.ops.push(Op::Cvt {
-                        prec: p,
-                        dst,
-                        a: v.freg(),
-                    });
-                    (Val::F(dst), CTy::F(p))
-                }
-            }
-        }
+        };
+        (converted, target)
     }
 
     /// Compiles an expression, mirroring `Interp::eval`'s hint threading.
     #[allow(clippy::too_many_lines)]
-    fn expr(&mut self, e: &'k Expr, hint: Option<Precision>) -> Result<(Val, CTy), ExecError> {
+    fn expr(
+        &mut self,
+        e: &'k Expr,
+        hint: Option<Precision>,
+    ) -> Result<(Val, ScalarType), ExecError> {
         match e {
             Expr::FloatConst(v) => {
                 let p = hint.unwrap_or(Precision::Double);
                 let r = self.float_const(round_to(p, *v));
-                Ok((Val::F(r), CTy::F(p)))
+                Ok((Val::F(r), ScalarType::Float(p)))
             }
-            Expr::IntConst(v) => Ok((Val::I(self.int_const(*v)), CTy::Int)),
+            Expr::IntConst(v) => Ok((Val::I(self.int_const(*v)), ScalarType::Int)),
             Expr::GlobalId(d) => {
                 if *d < 2 {
-                    Ok((Val::I(*d as IReg), CTy::Int))
+                    Ok((Val::I(*d as IReg), ScalarType::Int))
                 } else {
-                    Ok((Val::I(self.int_const(0)), CTy::Int))
+                    Ok((Val::I(self.int_const(0)), ScalarType::Int))
                 }
             }
             Expr::Var(name) => self.lookup(name),
             Expr::Load { buf, index } => {
                 let (iv, it) = self.expr(index, None)?;
-                if it != CTy::Int {
+                if it != ScalarType::Int {
                     return Err(ExecError::KindError(format!(
                         "index into `{buf}` must be an integer"
                     )));
@@ -808,12 +774,12 @@ impl<'k> Compiler<'k> {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
                 self.ops.push(Op::Load { buf: b, idx, dst });
-                Ok((Val::F(dst), CTy::F(elem)))
+                Ok((Val::F(dst), ScalarType::Float(elem)))
             }
             Expr::Unary { op, arg } => {
                 let (v, t) = self.expr(arg, hint)?;
                 match t {
-                    CTy::F(p) => {
+                    ScalarType::Float(p) => {
                         self.pending.count_unary(*op, Some(p));
                         let dst = self.alloc_f();
                         self.ops.push(Op::FUn {
@@ -822,9 +788,9 @@ impl<'k> Compiler<'k> {
                             dst,
                             a: v.freg(),
                         });
-                        Ok((Val::F(dst), CTy::F(p)))
+                        Ok((Val::F(dst), ScalarType::Float(p)))
                     }
-                    CTy::Int => {
+                    ScalarType::Int => {
                         self.pending.count_unary(*op, None);
                         match op {
                             UnaryFn::Neg | UnaryFn::Fabs => {
@@ -834,7 +800,7 @@ impl<'k> Compiler<'k> {
                                     dst,
                                     a: v.ireg(),
                                 });
-                                Ok((Val::I(dst), CTy::Int))
+                                Ok((Val::I(dst), ScalarType::Int))
                             }
                             _ => {
                                 // sqrt/exp/log of an int computes in double.
@@ -851,24 +817,24 @@ impl<'k> Compiler<'k> {
                                     dst,
                                     a: wide,
                                 });
-                                Ok((Val::F(dst), CTy::F(Precision::Double)))
+                                Ok((Val::F(dst), ScalarType::Float(Precision::Double)))
                             }
                         }
                     }
-                    CTy::Bool => Err(ExecError::KindError(
+                    ScalarType::Bool => Err(ExecError::KindError(
                         "boolean passed to a math function".to_owned(),
                     )),
                 }
             }
             Expr::Bin { op, lhs, rhs } => {
                 let (a, ta, b, tb) = self.pair(lhs, rhs, hint)?;
-                if ta == CTy::Bool || tb == CTy::Bool {
+                if ta == ScalarType::Bool || tb == ScalarType::Bool {
                     return Err(ExecError::KindError(
                         "boolean operand in arithmetic".to_owned(),
                     ));
                 }
                 match (ta, tb) {
-                    (CTy::Int, CTy::Int) => {
+                    (ScalarType::Int, ScalarType::Int) => {
                         self.pending.count_bin(*op, None);
                         let dst = self.alloc_i();
                         self.ops.push(Op::IBin {
@@ -877,7 +843,7 @@ impl<'k> Compiler<'k> {
                             a: a.ireg(),
                             b: b.ireg(),
                         });
-                        Ok((Val::I(dst), CTy::Int))
+                        Ok((Val::I(dst), ScalarType::Int))
                     }
                     _ => {
                         let p = promote(ta, tb);
@@ -892,19 +858,19 @@ impl<'k> Compiler<'k> {
                             a: fa,
                             b: fb,
                         });
-                        Ok((Val::F(dst), CTy::F(p)))
+                        Ok((Val::F(dst), ScalarType::Float(p)))
                     }
                 }
             }
             Expr::Cmp { op, lhs, rhs } => {
                 let (a, ta, b, tb) = self.pair(lhs, rhs, None)?;
-                if ta == CTy::Bool || tb == CTy::Bool {
+                if ta == ScalarType::Bool || tb == ScalarType::Bool {
                     return Err(ExecError::KindError(
                         "boolean operand in comparison".to_owned(),
                     ));
                 }
                 match (ta, tb) {
-                    (CTy::Int, CTy::Int) => {
+                    (ScalarType::Int, ScalarType::Int) => {
                         self.pending.count_cmp(None);
                         let dst = self.alloc_i();
                         self.ops.push(Op::ICmp {
@@ -913,7 +879,7 @@ impl<'k> Compiler<'k> {
                             a: a.ireg(),
                             b: b.ireg(),
                         });
-                        Ok((Val::I(dst), CTy::Bool))
+                        Ok((Val::I(dst), ScalarType::Bool))
                     }
                     _ => {
                         self.pending.count_cmp(Some(promote(ta, tb)));
@@ -928,7 +894,7 @@ impl<'k> Compiler<'k> {
                             a: fa,
                             b: fb,
                         });
-                        Ok((Val::I(dst), CTy::Bool))
+                        Ok((Val::I(dst), ScalarType::Bool))
                     }
                 }
             }
@@ -939,48 +905,34 @@ impl<'k> Compiler<'k> {
             }
             Expr::Select { cond, then, els } => {
                 let (cv, ct) = self.expr(cond, None)?;
-                if ct != CTy::Bool {
+                if ct != ScalarType::Bool {
                     return Err(ExecError::KindError(
                         "select condition must be a boolean".to_owned(),
                     ));
                 }
                 let c = cv.ireg();
                 let (a, ta, b, tb) = self.pair(then, els, hint)?;
-                match (ta, tb) {
-                    (CTy::Int, CTy::Int) => {
-                        let dst = self.alloc_i();
-                        self.ops.push(Op::SelectI {
-                            cond: c,
-                            dst,
-                            a: a.ireg(),
-                            b: b.ireg(),
-                        });
-                        Ok((Val::I(dst), CTy::Int))
-                    }
-                    (CTy::F(pa), CTy::F(pb)) => {
-                        let p = pa.max(pb);
-                        let fa = if pa < p {
-                            self.coerce(a, ta, ScalarType::Float(p)).0.freg()
-                        } else {
-                            a.freg()
-                        };
-                        let fb = if pb < p {
-                            self.coerce(b, tb, ScalarType::Float(p)).0.freg()
-                        } else {
-                            b.freg()
-                        };
-                        let dst = self.alloc_f();
-                        self.ops.push(Op::SelectF {
-                            cond: c,
-                            dst,
-                            a: fa,
-                            b: fb,
-                        });
-                        Ok((Val::F(dst), CTy::F(p)))
-                    }
-                    _ => Err(ExecError::KindError(
-                        "select arms disagree in kind".to_owned(),
-                    )),
+                let t = select_type(ta, tb)?;
+                let (a, _) = self.coerce(a, ta, t);
+                let (b, _) = self.coerce(b, tb, t);
+                if t == ScalarType::Int {
+                    let dst = self.alloc_i();
+                    self.ops.push(Op::SelectI {
+                        cond: c,
+                        dst,
+                        a: a.ireg(),
+                        b: b.ireg(),
+                    });
+                    Ok((Val::I(dst), t))
+                } else {
+                    let dst = self.alloc_f();
+                    self.ops.push(Op::SelectF {
+                        cond: c,
+                        dst,
+                        a: a.freg(),
+                        b: b.freg(),
+                    });
+                    Ok((Val::F(dst), t))
                 }
             }
         }
@@ -992,7 +944,7 @@ impl<'k> Compiler<'k> {
         lhs: &'k Expr,
         rhs: &'k Expr,
         hint: Option<Precision>,
-    ) -> Result<(Val, CTy, Val, CTy), ExecError> {
+    ) -> Result<(Val, ScalarType, Val, ScalarType), ExecError> {
         let ((a, ta), (b, tb)) = eval_operands(
             lhs,
             rhs,
@@ -1009,10 +961,10 @@ impl<'k> Compiler<'k> {
     /// rounding the operation itself applies to it, so the register holds
     /// an exact value of `p`. Callers reject boolean operands before
     /// reaching here, so only ints widen.
-    fn float_operand(&mut self, v: Val, t: CTy, p: Precision) -> FReg {
+    fn float_operand(&mut self, v: Val, t: ScalarType, p: Precision) -> FReg {
         match t {
-            CTy::F(_) | CTy::Bool => v.freg(),
-            CTy::Int => {
+            ScalarType::Float(_) | ScalarType::Bool => v.freg(),
+            ScalarType::Int => {
                 let dst = self.alloc_f();
                 self.ops.push(Op::IToF {
                     prec: p,
@@ -1468,7 +1420,7 @@ fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
 
 /// The precision a float operation on operands of types `a` and `b`
 /// computes in (callers have ruled out int/int and booleans).
-fn promote(a: CTy, b: CTy) -> Precision {
+fn promote(a: ScalarType, b: ScalarType) -> Precision {
     Precision::promote(a.precision(), b.precision()).unwrap_or(Precision::Double)
 }
 
@@ -3374,6 +3326,23 @@ mod tests {
             compile_kernel(&k),
             Err(ExecError::NotABuffer(n)) if n == "ghost"
         ));
+        // Select arms that differ in kind: int/float, and booleans.
+        let k = kernel("bad")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![store(
+                "c",
+                int(0),
+                select(lt(int(0), int(1)), int(3), flit(1.0)),
+            )]);
+        let mixed = ExecError::KindError("select arms disagree in kind".into());
+        assert_eq!(compile_kernel(&k).unwrap_err(), mixed);
+        let k = kernel("bad")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![if_(
+                select(lt(int(0), int(1)), lt(int(0), int(1)), lt(int(1), int(0))),
+                vec![store("c", int(0), flit(1.0))],
+            )]);
+        assert_eq!(compile_kernel(&k).unwrap_err(), mixed);
     }
 
     /// A GEMM-shaped kernel with `a`/`b` at `ab` and `c` at `c_elem`.

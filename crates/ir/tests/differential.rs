@@ -1,8 +1,8 @@
 //! Differential fuzzing: random well-typed kernels must behave
 //! identically under the tree-walking interpreter and the bytecode VM —
 //! bit-identical buffers and operation counts — whether the VM runs them
-//! item by item, in lock-step blocks or in parallel chunks, and must
-//! survive a print/parse round trip.
+//! item by item, in lock-step blocks or in parallel chunks, must survive
+//! a print/parse round trip, and must pass the verifier without an error.
 //!
 //! Half the kernels store through unclamped affine indices that the
 //! disjoint-access proof can admit, over launches of at least 64 items,
@@ -14,6 +14,7 @@ use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
 use prescaler_ir::parse::parse_kernel;
 use prescaler_ir::print::kernel_to_string;
 use prescaler_ir::typeck::check_kernel;
+use prescaler_ir::verify::{verify_kernel, Severity};
 use prescaler_ir::vm::{compile_kernel, VmScratch};
 use prescaler_ir::{Access, CmpOp, Expr, FloatVec, Kernel, Precision, ScalarType, Stmt, TypeRef};
 use proptest::prelude::*;
@@ -105,20 +106,25 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
         // Select with a float condition: both engines evaluate both arms.
         1 => (sub.clone(), sub.clone(), sub.clone())
             .prop_map(|(c, a, b)| select(gt(c, flit(0.5)), a, b)),
-        // Int/float mixing through arithmetic.
-        1 => (isub, sub).prop_map(|(i, f)| f * cast(Precision::Double, i)),
+        // Int/float mixing through arithmetic, the int cast to any
+        // precision.
+        1 => (arb_precision(), isub, sub).prop_map(|(p, i, f)| f * cast(p, i)),
     ]
     .boxed()
 }
 
 /// Statements (bounded nesting), with integer `if` conditions. With
-/// `stores`, some store to `b` at a clamped index; without, they only
-/// assign the locals (and leave `b` read-only).
+/// `stores`, some store a float or an integer value to `b` at a clamped
+/// index; without, they only assign the locals (and leave `b` read-only).
 fn arb_stmts(depth: u32, in_loop: bool, stores: bool) -> BoxedStrategy<Vec<Stmt>> {
     let assign0 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t0", v));
     let assign1 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t1", v));
     let store_stmt = if stores {
-        (arb_int_expr(1, in_loop), arb_float_expr(2, in_loop, true))
+        let value = prop_oneof![
+            3 => arb_float_expr(2, in_loop, true),
+            1 => arb_int_expr(1, in_loop),
+        ];
+        (arb_int_expr(1, in_loop), value)
             .prop_map(|(i, v)| store("b", clamped(i), v))
             .boxed()
     } else {
@@ -519,6 +525,15 @@ fn assert_same_bits(want: &BufferMap, got: &BufferMap, what: &str, k: &Kernel) {
 fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
     let k = &case.kernel;
     check_kernel(k).expect("generated kernels are well-typed");
+    let errors: Vec<_> = verify_kernel(k)
+        .into_iter()
+        .filter(|d| d.severity() == Severity::Error)
+        .collect();
+    assert!(
+        errors.is_empty(),
+        "verifier errors {errors:?}\n{}",
+        kernel_to_string(k)
+    );
     let launch = case.launch();
     let mut want = case.buffers();
     let counts = run_kernel(k, &mut want, &launch)

@@ -197,21 +197,10 @@ impl Session {
         self
     }
 
-    /// Sets the real worker-thread budget in place (clamped to at least 1).
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
-    }
-
     /// The active real worker-thread budget.
     #[must_use]
     pub fn exec_threads(&self) -> usize {
         self.exec_threads
-    }
-
-    /// The active retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Rides out transient faults at one injection site: draws from the

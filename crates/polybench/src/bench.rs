@@ -60,19 +60,6 @@ impl PolyApp {
         &self.dims
     }
 
-    /// The configured input set.
-    #[must_use]
-    pub fn input_set(&self) -> InputSet {
-        self.input
-    }
-
-    /// A copy running a different input set.
-    #[must_use]
-    pub fn with_input(mut self, input: InputSet) -> PolyApp {
-        self.input = input;
-        self
-    }
-
     /// A copy whose generated inputs are scaled by `gain` — models input
     /// drift in production. Gain `1.0` is an exact no-op, so an undrifted
     /// copy runs bit-identically to the original.
@@ -80,12 +67,6 @@ impl PolyApp {
     pub fn with_input_gain(mut self, gain: f64) -> PolyApp {
         self.gain = gain;
         self
-    }
-
-    /// The configured input gain.
-    #[must_use]
-    pub fn input_gain(&self) -> f64 {
-        self.gain
     }
 
     fn gen(&self) -> InputGen {

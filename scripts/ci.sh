@@ -6,8 +6,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-# Examples and benches must keep building too — a target that only the
-# default build compiles can rot silently.
+# Examples, tests and the `figures` binary must keep building too — a
+# target that only the default build compiles can rot silently.
 cargo build --release --offline --workspace --all-targets
 cargo test -q --workspace --offline
 # Benchmark smoke: the ledger is a package of its own (its own
@@ -112,9 +112,3 @@ if [ "$(echo "${serve_digests}" | tr ' ' '\n' | sed '/^$/d' | sort -u | wc -l)" 
     echo "serving outcomes diverged across worker counts:${serve_digests}" >&2
     exit 1
 fi
-
-# Benchmarks must keep compiling. Their timed runs, which rewrite the
-# tracked BENCH_*.json files, live in scripts/bench.sh; tune determinism
-# is asserted by the ledger smoke tests above (decision digests across
-# rounds) and by tests/trial_engine_equivalence.rs.
-cargo bench --offline --no-run -p prescaler-bench
