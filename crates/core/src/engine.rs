@@ -46,7 +46,7 @@
 use crate::profiler::AppProfile;
 use crate::search::Evaluation;
 use prescaler_faults::{CrashPoint, SimulatedCrash, TearMode};
-use prescaler_ocl::{run_app_threaded, HostApp, PlanChoice, ScalingSpec};
+use prescaler_ocl::{default_exec_threads, run_app_threaded, HostApp, PlanChoice, ScalingSpec};
 use prescaler_persist::{EvalBits, TrialJournal, TrialRecord};
 use prescaler_polybench::output_quality;
 use prescaler_sim::{HostMethod, SystemModel};
@@ -103,13 +103,14 @@ pub struct TrialEngine<'a> {
 }
 
 impl<'a> TrialEngine<'a> {
-    /// Creates an engine. Speculation defaults to on only when the host
-    /// actually has more than one core — on a single core the fan-out
-    /// would serialize anyway and speculative misses would cost real time.
+    /// Creates an engine whose thread budget is the host's core count.
+    /// Speculation is on only when that budget exceeds one core — on a
+    /// single core the fan-out would serialize anyway and speculative
+    /// misses would cost real time.
     #[must_use]
     pub fn new(app: &'a dyn HostApp, system: &'a SystemModel, profile: &'a AppProfile) -> Self {
-        let speculate = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        Self::with_speculation(app, system, profile, speculate)
+        let exec_threads = default_exec_threads();
+        Self::build(app, system, profile, exec_threads > 1, exec_threads)
     }
 
     /// Creates an engine with speculation forced on or off — both modes
@@ -120,6 +121,16 @@ impl<'a> TrialEngine<'a> {
         system: &'a SystemModel,
         profile: &'a AppProfile,
         speculate: bool,
+    ) -> Self {
+        Self::build(app, system, profile, speculate, default_exec_threads())
+    }
+
+    fn build(
+        app: &'a dyn HostApp,
+        system: &'a SystemModel,
+        profile: &'a AppProfile,
+        speculate: bool,
+        exec_threads: usize,
     ) -> Self {
         let faulty = !system.faults.is_inert();
         let mut base = Fnv::new();
@@ -135,7 +146,7 @@ impl<'a> TrialEngine<'a> {
             profile,
             faulty,
             speculate,
-            exec_threads: prescaler_ocl::default_exec_threads(),
+            exec_threads,
             base_fp: base.finish(),
             crash: None,
             state: Mutex::new(State {

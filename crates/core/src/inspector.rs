@@ -146,19 +146,31 @@ pub struct SystemInspector;
 
 impl SystemInspector {
     /// Probes `system`, measuring every conversion path × method × size.
-    ///
-    /// The plan-time sweep is pure in `(plan, size)`, so on multi-core
-    /// hosts the curves are computed on scoped worker threads. Fault
-    /// injection draws stay on the calling thread, in the exact order the
-    /// sequential sweep would draw them, so the resulting database is
-    /// bit-identical either way.
     #[must_use]
     pub fn inspect(system: &SystemModel) -> InspectorDb {
         let grid: Vec<usize> = (8..=24).step_by(2).map(|e| 1usize << e).collect();
         let methods = Self::candidate_methods(system);
 
-        // Enumerate every measured plan in the canonical sweep order.
-        let mut keys = Vec::new();
+        // Fault injection may corrupt individual measurements as they are
+        // recorded, so the sweep order is also the order of the fault
+        // stream's draws.
+        let measure = |key: PlanKey| {
+            let plan = key.plan();
+            let times = grid
+                .iter()
+                .map(|&n| {
+                    let t = plan.time(system, n).total();
+                    system
+                        .faults
+                        .corrupt_db_entry()
+                        .map_or(t, SimTime::from_secs_unchecked)
+                })
+                .collect();
+            Curve { key, times }
+        };
+
+        // Measure every plan in the canonical sweep order.
+        let mut curves = Vec::new();
         for direction in [Direction::HtoD, Direction::DtoH] {
             for src in Precision::ALL {
                 for dst in Precision::ALL {
@@ -179,63 +191,18 @@ impl SystemInspector {
                             &[HostMethod::Loop] // no host leg: method is moot
                         };
                         for &host_method in method_set {
-                            keys.push(PlanKey {
+                            curves.push(measure(PlanKey {
                                 direction,
                                 src,
                                 intermediate,
                                 dst,
                                 host_method,
-                            });
+                            }));
                         }
                     }
                 }
             }
         }
-
-        // Fault injection may corrupt individual measurements as they are
-        // recorded; draw the per-sample corruptions sequentially so the
-        // fault stream consumption matches the sequential sweep exactly.
-        let corruptions: Vec<Vec<Option<f64>>> = keys
-            .iter()
-            .map(|_| {
-                grid.iter()
-                    .map(|_| system.faults.corrupt_db_entry())
-                    .collect()
-            })
-            .collect();
-
-        let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); keys.len()];
-        let sweep = |keys: &[PlanKey], out: &mut [Vec<SimTime>]| {
-            for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                let plan = key.plan();
-                *slot = grid.iter().map(|&n| plan.time(system, n).total()).collect();
-            }
-        };
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
-        if workers > 1 && keys.len() > 1 {
-            let chunk = keys.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for (kc, tc) in keys.chunks(chunk).zip(times.chunks_mut(chunk)) {
-                    s.spawn(|| sweep(kc, tc));
-                }
-            });
-        } else {
-            sweep(&keys, &mut times);
-        }
-
-        let curves = keys
-            .iter()
-            .zip(times)
-            .zip(corruptions)
-            .map(|((&key, ts), cs)| Curve {
-                key,
-                times: ts
-                    .into_iter()
-                    .zip(cs)
-                    .map(|(t, c)| c.map_or(t, SimTime::from_secs_unchecked))
-                    .collect(),
-            })
-            .collect();
 
         let gpu = &system.gpu;
         let tp = gpu.throughput();

@@ -207,7 +207,7 @@ impl<'a> PreScaler<'a> {
     /// configuration.
     ///
     /// Degrades gracefully under injected faults: a *candidate* trial that
-    /// fails (exhausted retries, timeout, corrupted output) is pruned
+    /// fails (exhausted retries, corrupted output) is pruned
     /// exactly like a TOQ failure, and the chosen configuration must pass
     /// a final acceptance check on the clean twin of the system — quality
     /// at or above TOQ *and* time no worse than the full-precision

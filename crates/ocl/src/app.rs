@@ -33,8 +33,8 @@ pub trait HostApp: Sync {
     fn run(&self, session: &mut Session) -> Result<Outputs, OclError>;
 }
 
-/// Runs an app once on `system` under `spec`, returning its outputs and
-/// the completed profile.
+/// Runs an app once, sequentially, on `system` under `spec`, returning
+/// its outputs and the completed profile.
 ///
 /// # Errors
 ///
@@ -44,13 +44,11 @@ pub fn run_app(
     system: &SystemModel,
     spec: &ScalingSpec,
 ) -> Result<(Outputs, crate::profile::ProfileLog), OclError> {
-    let mut session = Session::new(system.clone(), app.program(), spec.clone());
-    let outputs = app.run(&mut session)?;
-    Ok((outputs, session.into_log()))
+    run_app_threaded(app, system, spec, 1)
 }
 
-/// [`run_app`] with an explicit real worker-thread budget for the
-/// session's data-parallel execution and conversion paths. Results are
+/// [`run_app`] with a real worker-thread budget for the session's
+/// data-parallel execution and conversion paths. Results are
 /// bit-identical to [`run_app`] at any budget; only host wall-clock
 /// changes.
 ///

@@ -2,10 +2,7 @@
 
 use core::fmt;
 use prescaler_ir::interp::ExecError;
-use prescaler_ir::parse::ParseError;
-use prescaler_ir::typeck::TypeError;
 use prescaler_ir::Precision;
-use prescaler_sim::SimTime;
 
 /// An error raised by the mini OpenCL runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,75 +38,33 @@ pub enum OclError {
         /// Supplied length.
         got: usize,
     },
-    /// The (possibly transformed) kernel failed the type checker — a bug
-    /// in a scaling configuration.
-    BadKernel(TypeError),
-    /// The kernel carries Error-severity IR-verifier diagnostics —
-    /// structurally broken IR caught before compilation.
+    /// The (possibly transformed) kernel carries Error-severity
+    /// IR-verifier diagnostics — structurally broken or ill-typed IR
+    /// caught before compilation.
     Verify {
         /// Kernel name.
         kernel: String,
         /// The rendered diagnostics, `; `-joined.
         message: String,
     },
-    /// Kernel source text failed to parse — a malformed program degrades
-    /// into an error instead of aborting the run.
-    BadSource(ParseError),
     /// The kernel failed at execution time.
     Exec(ExecError),
-    /// A host↔device transfer aborted transiently (injected or modeled
-    /// hardware hiccup). Retryable.
-    TransferFault {
-        /// Memory-object label.
-        label: String,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
-    /// A kernel launch bounced transiently. Retryable.
-    LaunchFault {
-        /// Kernel name.
-        kernel: String,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
-    /// An operation kept failing transiently until the session's retry
-    /// budget was exhausted. Fatal.
+    /// A transfer or launch kept failing transiently through every retry
+    /// the session makes. Fatal.
     RetriesExhausted {
         /// Description of the operation ("write A", "launch gemm").
         what: String,
         /// Attempts made.
         attempts: u32,
     },
-    /// Retry backoff exceeded the session's per-operation time budget.
-    /// Fatal.
-    Timeout {
-        /// Description of the operation.
-        what: String,
-        /// The budget that was exceeded.
-        budget: SimTime,
-    },
-    /// The device fell off the bus mid-operation. Fatal: unlike the
-    /// transient transfer/launch bounces there is nothing to retry
+    /// The device fell off the bus mid-operation. Fatal: unlike a
+    /// transient transfer/launch bounce there is nothing to retry
     /// against — the caller must fail over and revalidate its tuning
     /// decisions once a device is back.
     DeviceLost {
         /// Description of the operation that found the device gone.
         what: String,
     },
-}
-
-impl OclError {
-    /// Whether the failure is transient: a caller (or the session's own
-    /// retry loop) may repeat the operation and expect it to succeed.
-    /// Fatal errors — exhausted retries, timeouts, and every structural
-    /// error — are not worth repeating.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            OclError::TransferFault { .. } | OclError::LaunchFault { .. }
-        )
-    }
 }
 
 impl fmt::Display for OclError {
@@ -134,23 +89,12 @@ impl fmt::Display for OclError {
                 f,
                 "host data for `{label}` has {got} elements, buffer holds {expected}"
             ),
-            OclError::BadKernel(e) => write!(f, "scaled kernel rejected: {e}"),
             OclError::Verify { kernel, message } => {
                 write!(f, "kernel `{kernel}` failed IR verification: {message}")
             }
-            OclError::BadSource(e) => write!(f, "kernel source rejected: {e}"),
             OclError::Exec(e) => write!(f, "kernel execution failed: {e}"),
-            OclError::TransferFault { label, attempt } => {
-                write!(f, "transfer of `{label}` aborted (attempt {attempt})")
-            }
-            OclError::LaunchFault { kernel, attempt } => {
-                write!(f, "launch of `{kernel}` bounced (attempt {attempt})")
-            }
             OclError::RetriesExhausted { what, attempts } => {
                 write!(f, "{what} still failing after {attempts} attempts")
-            }
-            OclError::Timeout { what, budget } => {
-                write!(f, "{what} timed out (budget {budget})")
             }
             OclError::DeviceLost { what } => {
                 write!(f, "device lost during {what}")
@@ -162,23 +106,9 @@ impl fmt::Display for OclError {
 impl std::error::Error for OclError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            OclError::BadKernel(e) => Some(e),
-            OclError::BadSource(e) => Some(e),
             OclError::Exec(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<TypeError> for OclError {
-    fn from(e: TypeError) -> OclError {
-        OclError::BadKernel(e)
-    }
-}
-
-impl From<ParseError> for OclError {
-    fn from(e: ParseError) -> OclError {
-        OclError::BadSource(e)
     }
 }
 
@@ -206,40 +136,5 @@ mod tests {
             got: Precision::Half,
         };
         assert!(e.to_string().contains("half"));
-    }
-
-    #[test]
-    fn taxonomy_splits_transient_from_fatal() {
-        let transient = [
-            OclError::TransferFault {
-                label: "A".into(),
-                attempt: 1,
-            },
-            OclError::LaunchFault {
-                kernel: "gemm".into(),
-                attempt: 2,
-            },
-        ];
-        for e in &transient {
-            assert!(e.is_retryable(), "{e}");
-        }
-        let fatal = [
-            OclError::RetriesExhausted {
-                what: "write A".into(),
-                attempts: 4,
-            },
-            OclError::Timeout {
-                what: "launch gemm".into(),
-                budget: SimTime::from_micros(50.0),
-            },
-            OclError::DeviceLost {
-                what: "launch gemm".into(),
-            },
-            OclError::UnknownKernel("ghost".into()),
-            OclError::InvalidBuffer(3),
-        ];
-        for e in &fatal {
-            assert!(!e.is_retryable(), "{e}");
-        }
     }
 }

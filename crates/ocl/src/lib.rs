@@ -27,5 +27,5 @@ pub mod spec;
 pub use app::{run_app, run_app_threaded, HostApp, Outputs};
 pub use error::OclError;
 pub use profile::{Event, ObjectInfo, ProfileLog, Timeline, WriteStats};
-pub use session::{default_exec_threads, BufferId, KernelArg, RetryPolicy, Session};
+pub use session::{default_exec_threads, BufferId, KernelArg, Session};
 pub use spec::{PlanChoice, ScalingSpec};

@@ -12,50 +12,17 @@ use crate::profile::{ObjectInfo, ProfileLog, Timeline, WriteStats};
 use crate::spec::ScalingSpec;
 use prescaler_ir::interp::{BufferMap, Launch};
 use prescaler_ir::passes::{insert_casts, retype_buffers};
-use prescaler_ir::typeck::check_kernel;
 use prescaler_ir::vm::{compile_kernel, CompiledKernel, VmScratch};
 use prescaler_ir::{FloatVec, Param, Precision, Program, ScalarBound};
 use prescaler_sim::{Direction, FaultPlan, HostMethod, SimTime, SystemModel, TransferPlan};
 use std::collections::HashMap;
 
-/// How a session rides out transient faults: bounded retries with
-/// exponential backoff, all paid on the virtual clock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per operation (1 = no retry: the first transient
-    /// failure surfaces to the caller as a retryable error).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimTime,
-    /// Backoff growth per retry (exponential).
-    pub multiplier: f64,
-    /// Relative amplitude of the seeded backoff jitter: each backoff is
-    /// scaled by a deterministic factor in `[1 - j, 1 + j]` drawn from
-    /// `(jitter_seed, attempt)`. `0` disables jitter exactly, restoring
-    /// the pure exponential schedule.
-    pub jitter: f64,
-    /// Seed of the jitter stream. Concurrent workers retrying after the
-    /// same transient fault must carry *different* seeds (see
-    /// [`RetryPolicy::with_jitter_salt`]) so their retries spread out
-    /// instead of storming the device in lockstep.
-    pub jitter_seed: u64,
-    /// Per-operation cap on accumulated backoff; exceeding it is a fatal
-    /// [`OclError::Timeout`]. `None` = unbounded.
-    pub timeout: Option<SimTime>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimTime::from_micros(10.0),
-            multiplier: 2.0,
-            jitter: 0.25,
-            jitter_seed: 0,
-            timeout: Some(SimTime::from_secs(0.01)),
-        }
-    }
-}
+/// Attempts per operation before a transient fault becomes fatal.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in microseconds; it doubles per retry.
+const BASE_BACKOFF_US: f64 = 10.0;
+/// Relative amplitude of the backoff jitter.
+const JITTER: f64 = 0.25;
 
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -64,57 +31,21 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl RetryPolicy {
-    /// A policy that never retries (transient faults surface directly).
-    #[must_use]
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// A copy whose jitter stream is decorrelated by `salt`: give every
-    /// concurrent worker a distinct salt so a burst of simultaneous
-    /// transient faults fans retries out over time instead of replaying
-    /// the identical backoff schedule on all workers at once.
-    #[must_use]
-    pub fn with_jitter_salt(mut self, salt: u64) -> RetryPolicy {
-        self.jitter_seed = splitmix64(self.jitter_seed ^ salt);
-        self
-    }
-
-    /// Backoff charged after the `attempt`-th (1-based) failed attempt:
-    /// exponential in the attempt, scaled by the seeded jitter factor.
-    /// Deterministic — the same `(policy, attempt)` always waits the same
-    /// virtual time, so replays stay bit-identical.
-    #[must_use]
-    pub fn backoff_for(&self, attempt: u32) -> SimTime {
-        let exponential =
-            self.base_backoff * self.multiplier.powi(attempt.saturating_sub(1) as i32);
-        if self.jitter <= 0.0 {
-            return exponential;
-        }
-        let bits =
-            splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
-        let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        exponential * (1.0 - self.jitter + 2.0 * self.jitter * unit).max(0.05)
-    }
+/// Backoff charged after the `attempt`-th (1-based) failed attempt:
+/// 10 µs × 2^(attempt−1), scaled by a jitter factor in `[0.75, 1.25]`
+/// drawn from the attempt number. Deterministic, so replays stay
+/// bit-identical.
+fn backoff(attempt: u32) -> SimTime {
+    let exponential = SimTime::from_micros(BASE_BACKOFF_US) * 2f64.powi(attempt as i32 - 1);
+    let bits = splitmix64(u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
+    let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    exponential * (1.0 - JITTER + 2.0 * JITTER * unit)
 }
 
-/// The process-wide default execution thread budget: the
-/// `PRESCALER_EXEC_THREADS` environment variable when set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`], otherwise 1.
-/// A budget of 1 reproduces strictly sequential execution.
+/// The host's core count ([`std::thread::available_parallelism`],
+/// otherwise 1): the thread budget a trial engine spreads over its runs.
 #[must_use]
 pub fn default_exec_threads() -> usize {
-    if let Ok(v) = std::env::var("PRESCALER_EXEC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -154,8 +85,6 @@ pub struct Session {
     /// paper's "compiler generates precision-scaled kernel in all
     /// possible cases" — here compiled lazily and cached).
     compiled: HashMap<(String, Vec<Precision>), std::sync::Arc<CompiledKernel>>,
-    /// How transient faults are retried.
-    retry: RetryPolicy,
     /// Register/binding storage reused across kernel launches.
     scratch: VmScratch,
     /// Real worker-thread budget for data-parallel kernel execution and
@@ -165,7 +94,8 @@ pub struct Session {
 
 impl Session {
     /// Creates a session for `program` on `system` under `spec`
-    /// (`clCreateContext` + `clCreateProgramWithSource` + custom compile).
+    /// (`clCreateContext` + `clCreateProgramWithSource` + custom compile),
+    /// running strictly sequentially.
     #[must_use]
     pub fn new(system: SystemModel, program: Program, spec: ScalingSpec) -> Session {
         Session {
@@ -175,17 +105,9 @@ impl Session {
             buffers: Vec::new(),
             log: ProfileLog::default(),
             compiled: HashMap::new(),
-            retry: RetryPolicy::default(),
             scratch: VmScratch::new(),
-            exec_threads: default_exec_threads(),
+            exec_threads: 1,
         }
-    }
-
-    /// Replaces the retry policy for transient faults.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Session {
-        self.retry = retry;
-        self
     }
 
     /// Replaces the real worker-thread budget (clamped to at least 1).
@@ -197,57 +119,31 @@ impl Session {
         self
     }
 
-    /// The active real worker-thread budget.
-    #[must_use]
-    pub fn exec_threads(&self) -> usize {
-        self.exec_threads
-    }
-
-    /// Rides out transient faults at one injection site: draws from the
-    /// fault plan once per attempt, charging exponential backoff to the
-    /// timeline. Returns `Ok` when an attempt goes through, the transient
-    /// error itself when the policy forbids retries, and a fatal
-    /// [`OclError::RetriesExhausted`]/[`OclError::Timeout`] otherwise.
-    fn ride_out(
+    /// Admits one operation past the fault plan. A lost device fails it
+    /// with the fatal [`OclError::DeviceLost`]. A transient fault is
+    /// retried, each backoff charged to the timeline, until an attempt goes
+    /// through or the fourth attempt fails too, which is the fatal
+    /// [`OclError::RetriesExhausted`].
+    fn admit(
         &mut self,
-        what: &str,
+        what: impl Fn() -> String,
         fires: impl Fn(&FaultPlan) -> bool,
-        transient: impl Fn(u32) -> OclError,
     ) -> Result<(), OclError> {
-        let policy = self.retry;
-        let mut waited = SimTime::ZERO;
-        let mut attempt = 1u32;
-        loop {
-            if !fires(&self.system.faults) {
-                return Ok(());
-            }
-            if policy.max_attempts <= 1 {
-                return Err(transient(attempt));
-            }
-            if attempt >= policy.max_attempts {
+        if self.system.faults.device_lost() {
+            return Err(OclError::DeviceLost { what: what() });
+        }
+        let mut attempt = 1;
+        while fires(&self.system.faults) {
+            if attempt == MAX_ATTEMPTS {
                 return Err(OclError::RetriesExhausted {
-                    what: what.to_owned(),
+                    what: what(),
                     attempts: attempt,
                 });
             }
-            let backoff = policy.backoff_for(attempt);
-            if let Some(budget) = policy.timeout {
-                if waited + backoff > budget {
-                    // The cap truncates the final backoff: we stop waiting
-                    // the moment the budget runs out, so only the truncated
-                    // wait is charged to the timeline.
-                    self.log
-                        .record_fault_overhead(budget.saturating_sub(waited));
-                    return Err(OclError::Timeout {
-                        what: what.to_owned(),
-                        budget,
-                    });
-                }
-            }
-            waited += backoff;
-            self.log.record_fault_overhead(backoff);
+            self.log.record_fault_overhead(backoff(attempt));
             attempt += 1;
         }
+        Ok(())
     }
 
     /// Applies the fault plan's buffer corruption to freshly transferred
@@ -370,19 +266,7 @@ impl Session {
             buf.device_precision,
         );
         let label = buf.label.clone();
-        if self.system.faults.device_lost() {
-            return Err(OclError::DeviceLost {
-                what: format!("write `{label}`"),
-            });
-        }
-        self.ride_out(
-            &format!("write `{label}`"),
-            FaultPlan::transfer_fails,
-            |attempt| OclError::TransferFault {
-                label: label.clone(),
-                attempt,
-            },
-        )?;
+        self.admit(|| format!("write `{label}`"), FaultPlan::transfer_fails)?;
         let noise = self.system.faults.time_noise_factor();
         let bandwidth = self.system.faults.bandwidth_factor();
         let cost = plan
@@ -421,19 +305,7 @@ impl Session {
             buf.declared,
         );
         let label = buf.label.clone();
-        if self.system.faults.device_lost() {
-            return Err(OclError::DeviceLost {
-                what: format!("read `{label}`"),
-            });
-        }
-        self.ride_out(
-            &format!("read `{label}`"),
-            FaultPlan::transfer_fails,
-            |attempt| OclError::TransferFault {
-                label: label.clone(),
-                attempt,
-            },
-        )?;
+        self.admit(|| format!("read `{label}`"), FaultPlan::transfer_fails)?;
         let buf = self.buffer(id)?;
         let noise = self.system.faults.time_noise_factor();
         let bandwidth = self.system.faults.bandwidth_factor();
@@ -481,14 +353,14 @@ impl Session {
     /// The kernel actually executed is the program's kernel *re-typed to
     /// the bound buffers' device precisions* (the spec's memory-object
     /// scaling), then transformed by the spec's in-kernel cast map if one
-    /// is present. The transformed kernel is re-checked, compiled once per
-    /// variant, executed functionally by the VM, and its dynamic operation
-    /// counts are priced on the GPU model.
+    /// is present. The transformed kernel is verified (type check
+    /// included), compiled once per variant, executed functionally by the
+    /// VM, and its dynamic operation counts are priced on the GPU model.
     ///
     /// # Errors
     ///
     /// Propagates unknown kernels, unbound/foreign arguments, a scaled
-    /// kernel failing the type checker, and execution errors.
+    /// kernel failing the verifier, and execution errors.
     pub fn launch_kernel(
         &mut self,
         name: &str,
@@ -505,19 +377,7 @@ impl Session {
             .params
             .clone();
 
-        if self.system.faults.device_lost() {
-            return Err(OclError::DeviceLost {
-                what: format!("launch `{name}`"),
-            });
-        }
-        self.ride_out(
-            &format!("launch `{name}`"),
-            FaultPlan::launch_fails,
-            |attempt| OclError::LaunchFault {
-                kernel: name.to_owned(),
-                attempt,
-            },
-        )?;
+        self.admit(|| format!("launch `{name}`"), FaultPlan::launch_fails)?;
 
         // Resolve bindings.
         let mut retype: HashMap<String, Precision> = HashMap::new();
@@ -578,7 +438,6 @@ impl Session {
             if let Some(compute) = self.spec.in_kernel.get(name) {
                 scaled = insert_casts(&scaled, compute);
             }
-            check_kernel(&scaled)?;
             reject_verifier_errors(&scaled)?;
             let c = std::sync::Arc::new(compile_kernel(&scaled)?);
             self.compiled.insert(variant_key, c.clone());
@@ -596,11 +455,7 @@ impl Session {
                 ),
             );
         }
-        let result = if self.exec_threads > 1 {
-            compiled.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads)
-        } else {
-            compiled.run_with_scratch(&mut map, &launch, &mut self.scratch)
-        };
+        let result = compiled.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads);
         for (pname, id) in &buffer_args {
             if let Some(data) = map.remove(pname.as_str()) {
                 self.buffers[id.0].data = data;
@@ -629,7 +484,9 @@ impl Session {
 }
 
 /// Rejects a kernel carrying Error-severity verifier diagnostics —
-/// structurally broken IR must never reach compilation or execution.
+/// structurally broken or ill-typed IR (the verifier reports a type-checker
+/// refusal as a `TypeClash` error) must never reach compilation or
+/// execution.
 /// Warnings (dead stores, unused params) are the lint tool's business.
 fn reject_verifier_errors(kernel: &prescaler_ir::Kernel) -> Result<(), OclError> {
     let errors: Vec<String> = prescaler_ir::verify_kernel(kernel)
@@ -754,7 +611,6 @@ mod tests {
         let gone = SystemModel::system1().with_faults(FaultPlan::seeded(3).with_device_loss(1.0));
         let err = run_on(gone).unwrap_err();
         assert!(matches!(err, OclError::DeviceLost { .. }), "{err}");
-        assert!(!err.is_retryable(), "device loss must not be ridden out");
     }
 
     #[test]
@@ -912,28 +768,9 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_surfaces_retryable_errors() {
-        let system =
-            SystemModel::system1().with_faults(FaultPlan::seeded(5).with_transfer_failures(0.9));
-        let mut s = Session::new(system, vec_scale_program(), ScalingSpec::baseline())
-            .with_retry_policy(RetryPolicy::no_retries());
-        let x = s.create_buffer("X", 8, Precision::Double).unwrap();
-        let xs = FloatVec::from_f64_slice(&[1.0; 8], Precision::Double);
-        let mut saw_transient = false;
-        for _ in 0..20 {
-            if let Err(e) = s.enqueue_write(x, &xs) {
-                assert!(matches!(e, OclError::TransferFault { .. }), "{e}");
-                assert!(e.is_retryable());
-                saw_transient = true;
-            }
-        }
-        assert!(saw_transient, "at 90% failure rate something must fail");
-    }
-
-    #[test]
     fn exhausted_retries_become_fatal() {
-        // Certain failure: every attempt fails, the budget runs out, and
-        // the error is fatal (not retryable).
+        // Certain failure: every attempt fails, and after the fourth the
+        // error is fatal.
         let system =
             SystemModel::system1().with_faults(FaultPlan::seeded(5).with_transfer_failures(1.0));
         let mut s = Session::new(system, vec_scale_program(), ScalingSpec::baseline());
@@ -941,79 +778,39 @@ mod tests {
         let xs = FloatVec::from_f64_slice(&[1.0; 8], Precision::Double);
         let e = s.enqueue_write(x, &xs).unwrap_err();
         assert!(
-            matches!(
-                e,
-                OclError::RetriesExhausted { .. } | OclError::Timeout { .. }
-            ),
+            matches!(e, OclError::RetriesExhausted { attempts: 4, .. }),
             "{e}"
         );
-        assert!(!e.is_retryable());
-    }
-
-    #[test]
-    fn truncated_final_backoff_charges_exactly_the_budget() {
-        // With jitter disabled the power-of-two durations keep every sum
-        // exact, so the assertion below is bit-exact: backoffs 2⁻¹⁷s,
-        // 2⁻¹⁶s, then 2⁻¹⁵s which the 3.5·2⁻¹⁷s budget truncates to
-        // 2⁻¹⁸s — overhead must equal the budget, not the untruncated sum.
-        let base = SimTime::from_secs(2f64.powi(-17));
-        let budget = SimTime::from_secs(3.5 * 2f64.powi(-17));
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            base_backoff: base,
-            multiplier: 2.0,
-            jitter: 0.0,
-            jitter_seed: 0,
-            timeout: Some(budget),
-        };
-        let system =
-            SystemModel::system1().with_faults(FaultPlan::seeded(5).with_transfer_failures(1.0));
-        let mut s = Session::new(system, vec_scale_program(), ScalingSpec::baseline())
-            .with_retry_policy(policy);
-        let x = s.create_buffer("X", 8, Precision::Double).unwrap();
-        let xs = FloatVec::from_f64_slice(&[1.0; 8], Precision::Double);
-        let e = s.enqueue_write(x, &xs).unwrap_err();
-        assert!(matches!(e, OclError::Timeout { .. }), "{e}");
         assert_eq!(
             s.timeline().fault_overhead,
-            budget,
-            "overhead must sum exactly to the truncated waits"
+            backoff(1) + backoff(2) + backoff(3),
+            "every backoff before the last attempt is charged in full"
         );
     }
 
     #[test]
-    fn jittered_backoff_is_deterministic_bounded_and_decorrelated() {
-        let policy = RetryPolicy::default();
-        assert!(policy.jitter > 0.0, "jitter is on by default");
-        for attempt in 1..=8u32 {
-            let exact = policy.base_backoff * policy.multiplier.powi(attempt as i32 - 1);
-            let jittered = policy.backoff_for(attempt);
-            // Deterministic: the same (policy, attempt) always waits the
-            // same virtual time…
-            assert_eq!(jittered, policy.backoff_for(attempt));
-            // …inside the configured band around the exponential schedule.
-            let ratio = jittered.as_secs() / exact.as_secs();
-            assert!(
-                (1.0 - policy.jitter..=1.0 + policy.jitter).contains(&ratio),
-                "attempt {attempt}: ratio {ratio} outside the jitter band"
+    fn retry_schedule_is_pinned() {
+        // 8.82, 23.2 and 34.0 µs: the three backoffs a failing operation
+        // waits before its 2nd, 3rd and 4th attempt, bit for bit.
+        let pinned = [
+            0x3ee2_7f41_89c7_5fa6_u64,
+            0x3ef8_57d0_1feb_6ddd,
+            0x3f01_d1b6_1120_9684,
+        ];
+        for (attempt, bits) in (1..).zip(pinned) {
+            assert_eq!(
+                backoff(attempt).as_secs().to_bits(),
+                bits,
+                "backoff before retry {attempt}"
             );
         }
-        // Distinct worker salts must not retry in lockstep.
-        let a = policy.with_jitter_salt(1);
-        let b = policy.with_jitter_salt(2);
-        let schedule =
-            |p: &RetryPolicy| -> Vec<SimTime> { (1..=6).map(|i| p.backoff_for(i)).collect() };
-        assert_ne!(schedule(&a), schedule(&b), "salts must decorrelate");
-        assert_eq!(schedule(&a), schedule(&a), "each stream stays replayable");
-        // Zero jitter restores the pure exponential schedule exactly.
-        let plain = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
+        // Every backoff lies within ±25% of 10 µs × 2^(k−1).
         for attempt in 1..=8u32 {
-            assert_eq!(
-                plain.backoff_for(attempt),
-                plain.base_backoff * plain.multiplier.powi(attempt as i32 - 1)
+            let exact = 10e-6 * 2f64.powi(attempt as i32 - 1);
+            let ratio = backoff(attempt).as_secs() / exact;
+            assert!(
+                (0.75..=1.25).contains(&ratio),
+                "attempt {attempt}: ratio {ratio} outside the jitter band"
             );
         }
     }

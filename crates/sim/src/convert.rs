@@ -8,10 +8,10 @@
 //!
 //! * a **cost model** — [`TransferPlan::time`] computes the virtual time of
 //!   any (method, type-path, size) combination on a [`SystemModel`]; and
-//! * a **functional implementation** — [`TransferPlan::apply`] performs the
-//!   actual element-wise conversions (optionally on real threads), so the
-//!   numeric consequences of every path (including double-rounding through
-//!   a transient intermediate) are real.
+//! * a **functional implementation** — [`TransferPlan::apply_with_threads`]
+//!   performs the actual element-wise conversions (optionally on real
+//!   threads), so the numeric consequences of every path (including
+//!   double-rounding through a transient intermediate) are real.
 
 use crate::cpu::CpuModel;
 use crate::system::SystemModel;
@@ -286,30 +286,11 @@ impl TransferPlan {
 
     /// Functionally applies the plan's value path to `data` (which must be
     /// `src`-typed), producing `dst`-typed data rounded exactly as the
-    /// plan's conversion chain rounds.
-    ///
-    /// Multithreaded and pipelined host methods use real worker threads —
-    /// element-wise conversion is order-independent, so the result is
-    /// identical to the sequential path (a property the tests pin down).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not `src`-typed.
-    #[must_use]
-    pub fn apply(&self, data: &FloatVec) -> FloatVec {
-        let threads = match self.host_method {
-            HostMethod::Loop => 1,
-            HostMethod::Multithread { threads } | HostMethod::Pipelined { threads, .. } => threads,
-        };
-        self.apply_with_threads(data, threads)
-    }
-
-    /// [`TransferPlan::apply`] with an explicit *real* worker-thread
-    /// count, decoupled from the simulated [`HostMethod`]: the method
-    /// drives the cost model ([`TransferPlan::time`]), while the host
-    /// running the simulation parallelizes with however many threads its
-    /// own execution budget allows. Conversion is element-wise, so the
-    /// result is bit-identical at any thread count.
+    /// plan's conversion chain rounds, on up to `threads` *real* worker
+    /// threads. The thread count is decoupled from the simulated
+    /// [`HostMethod`], which only drives the cost model
+    /// ([`TransferPlan::time`]). Conversion is element-wise, so the result
+    /// is bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -486,7 +467,7 @@ mod tests {
         );
         assert!(plan.is_transient());
         let data = FloatVec::from_f64_slice(&[0.1], Precision::Double);
-        let out = plan.apply(&data);
+        let out = plan.apply_with_threads(&data, 1);
         assert_eq!(out.precision(), Precision::Single);
         // Through half, only ~11 bits of 0.1 survive.
         assert_ne!(out.get(0), 0.1f32 as f64);
@@ -496,7 +477,7 @@ mod tests {
             Precision::Single,
             HostMethod::Loop,
         )
-        .apply(&data);
+        .apply_with_threads(&data, 1);
         assert_eq!(direct.get(0), f64::from(0.1f32));
         assert!((out.get(0) - 0.1).abs() > (direct.get(0) - 0.1).abs());
     }
@@ -601,7 +582,7 @@ mod tests {
     fn apply_checks_source_precision() {
         let plan = TransferPlan::direct(Direction::HtoD, Precision::Double);
         let data = FloatVec::zeros(4, Precision::Single);
-        let r = std::panic::catch_unwind(|| plan.apply(&data));
+        let r = std::panic::catch_unwind(|| plan.apply_with_threads(&data, 1));
         assert!(r.is_err());
     }
 

@@ -64,15 +64,6 @@ for seed in 1 2 3; do
         --test static_analysis_properties
 done
 
-# Data-parallel execution equivalence: the whole workspace suite must
-# pass with the session's default thread budget pinned to 1 (today's
-# sequential behavior), 2, and 8 — execution parallelism is physical
-# only and must never change an output, an OpCounts, or a Timeline.
-for threads in 1 2 8; do
-    PRESCALER_EXEC_THREADS=$threads \
-        cargo test -q --offline --test parallel_exec_properties
-done
-
 # Crash-resume smoke: kill one tune at a seeded boundary with a seeded
 # tear, resume it, and byte-compare the resumed Tuned snapshot against
 # the uninterrupted reference. Drift-failover smoke: lose the device
