@@ -41,17 +41,27 @@
 //!    boundary, optionally tearing the journal tail first — the
 //!    deterministic drill for exactly that recovery path.
 //!
+//! A fifth makes each execution cheaper: the engine calls
+//! [`HostApp::program`] once, and every trial's session — sequential,
+//! clean-twin or speculative — runs on one [`VariantCache`] over that
+//! program. A kernel variant is compiled once per engine, and its
+//! disjoint-access proof once per kernel. The cache lives as long as the
+//! engine; nothing the engine returns keeps it alive.
+//!
 //! [`FaultPlan::fork`]: prescaler_sim::FaultPlan::fork
 
 use crate::profiler::AppProfile;
 use crate::search::Evaluation;
 use prescaler_faults::{CrashPoint, SimulatedCrash, TearMode};
-use prescaler_ocl::{default_exec_threads, run_app_threaded, HostApp, PlanChoice, ScalingSpec};
+use prescaler_ir::Program;
+use prescaler_ocl::{
+    default_exec_threads, run_app_shared, HostApp, PlanChoice, ScalingSpec, VariantCache,
+};
 use prescaler_persist::{EvalBits, TrialJournal, TrialRecord};
 use prescaler_polybench::output_quality;
 use prescaler_sim::{HostMethod, SystemModel};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Execution counters of one engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,6 +98,8 @@ pub struct TrialEngine<'a> {
     system: &'a SystemModel,
     clean: SystemModel,
     profile: &'a AppProfile,
+    /// The app's program and the kernel variants every trial shares.
+    variants: Arc<VariantCache>,
     /// Active fault plan on `system`? Decides namespace split + forking.
     faulty: bool,
     speculate: bool,
@@ -144,6 +156,7 @@ impl<'a> TrialEngine<'a> {
             system,
             clean: system.without_faults(),
             profile,
+            variants: Arc::new(VariantCache::new(app.program())),
             faulty,
             speculate,
             exec_threads,
@@ -245,6 +258,12 @@ impl<'a> TrialEngine<'a> {
     #[must_use]
     pub fn app(&self) -> &'a dyn HostApp {
         self.app
+    }
+
+    /// The application's program, as every trial runs it.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        self.variants.program()
     }
 
     /// The (possibly faulty) tuning system.
@@ -435,7 +454,8 @@ impl<'a> TrialEngine<'a> {
         } else {
             self.system
         };
-        let (outputs, log) = run_app_threaded(self.app, system, spec, threads).ok()?;
+        let (outputs, log) =
+            run_app_shared(self.app, &self.variants, system, spec, threads).ok()?;
         let raw = output_quality(&self.profile.reference, &outputs);
         Some(Evaluation {
             time: log.timeline.total(),

@@ -237,7 +237,7 @@ impl<'a> PreScaler<'a> {
         // one pass up front, consulted (for free) before every trial.
         let analysis = self
             .use_static_prune
-            .then(|| StaticAnalysis::of(&engine.app().program(), profile));
+            .then(|| StaticAnalysis::of(engine.program(), profile));
 
         // --- Pre-full-precision scaling (also the PFP baseline). ---
         let (mut current, mut current_eval) = (

@@ -14,7 +14,8 @@
 //!   in gid0 access disjoint elements of every stored buffer? Then a block
 //!   of them may run in lock step, blocks keeping their sequential order.
 //!
-//! The VM computes the summary once per compiled kernel.
+//! The summary is computed once per kernel and shared by its compiled
+//! precision variants.
 
 use crate::ast::{
     assigned_vars, visit_expr, visit_stmts, Expr, Kernel, Param, Scopes, Stmt, TypeRef,
@@ -37,8 +38,11 @@ use std::collections::{HashMap, HashSet};
 ///
 /// The verdict is launch-independent; index coefficients stay symbolic in
 /// the kernel's integer arguments and are resolved per launch by
-/// [`WriteSummary::resolve`] and [`WriteSummary::lockstep`].
-#[derive(Clone, Debug)]
+/// [`WriteSummary::resolve`] and [`WriteSummary::lockstep`]. It is also
+/// precision-independent: the walker asks of a type only whether it is an
+/// integer, and retyping buffers or casting their loads never changes that,
+/// so every precision-scaled variant of a kernel gets the kernel's verdict.
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParallelSafety {
     /// Every stored-buffer index is affine; per-launch disjointness is
     /// decided by [`WriteSummary::resolve`] and [`WriteSummary::lockstep`].
@@ -81,7 +85,7 @@ impl Sym {
 /// A buffer index affine in the global id and in loop counters,
 /// `c0*gid0 + c1*gid1 + Σ a*counter + b`, with symbolic coefficients
 /// (`None`, or a loop absent from `loops`, means a coefficient of zero).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct AffineIdx {
     c0: Option<Sym>,
     c1: Option<Sym>,
@@ -216,14 +220,14 @@ struct Local {
 /// Launch-independent: coefficients and loop bounds are symbolic in the
 /// kernel's integer arguments. [`WriteSummary::resolve`] and
 /// [`WriteSummary::lockstep`] instantiate them for one launch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WriteSummary {
     bufs: Vec<BufSites>,
     /// `[start, end)` of every loop whose counter is an index dimension.
     loops: Vec<(Sym, Sym)>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct BufSites {
     name: String,
     /// Every store *and* load site of the buffer (loads are constrained
@@ -232,7 +236,7 @@ struct BufSites {
 }
 
 /// One access to a stored buffer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Site {
     idx: AffineIdx,
     /// The innermost enclosing guard `lhs == rhs` whose sides depend on
@@ -527,9 +531,11 @@ impl<'k> ParWalk<'k> {
 
 /// Runs the disjoint-access analysis over one kernel.
 ///
-/// The result is launch-independent and intended to be computed once at
-/// compile time (see `CompiledKernel` in [`crate::vm`]); per-launch
-/// disjointness is then decided by [`WriteSummary::resolve`] and
+/// The result is launch- and precision-independent, so it is computed
+/// once per kernel: [`crate::vm::compile_kernel`] runs it, and
+/// [`crate::vm::compile_with_safety`] takes it from a caller compiling
+/// several precision variants of one kernel. Per-launch disjointness is
+/// then decided by [`WriteSummary::resolve`] and
 /// [`WriteSummary::lockstep`].
 #[must_use]
 pub fn parallel_safety(kernel: &Kernel) -> ParallelSafety {

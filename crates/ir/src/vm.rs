@@ -55,6 +55,7 @@ use crate::value::{CmpOp, FloatBinOp, UnaryFn};
 use prescaler_fp16::F16;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Index of an integer register.
 type IReg = u32;
@@ -278,9 +279,10 @@ pub struct CompiledKernel {
     n_arg_slots: u32,
     n_iregs: u32,
     n_fregs: u32,
-    /// Disjoint-write verdict, computed once at compile time; decides
-    /// whether [`CompiledKernel::run_parallel`] may chunk the NDRange.
-    safety: ParallelSafety,
+    /// Disjoint-write verdict, shared by every precision variant of the
+    /// kernel; decides whether [`CompiledKernel::run_parallel`] may chunk
+    /// the NDRange and whether rows run in lock step.
+    safety: Arc<ParallelSafety>,
 }
 
 /// Reusable execution state for [`CompiledKernel::run_with_scratch`]:
@@ -358,6 +360,30 @@ impl Val {
 /// Returns [`ExecError::UnboundVar`], [`ExecError::NotABuffer`], or
 /// [`ExecError::KindError`] for constructs the type checker rejects.
 pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
+    compile_with_safety(kernel, Arc::new(analysis::parallel_safety(kernel)))
+}
+
+/// [`compile_kernel`] with the disjoint-access verdict supplied, so that
+/// the precision variants of one kernel share one analysis.
+///
+/// `safety` must be [`analysis::parallel_safety`] of `kernel`, or of the
+/// kernel `kernel` was derived from by
+/// [`retype_buffers`](crate::passes::retype_buffers) and
+/// [`insert_casts`](crate::passes::insert_casts): the verdict reads no
+/// precision, so those agree. Debug builds check it.
+///
+/// # Errors
+///
+/// As [`compile_kernel`].
+pub fn compile_with_safety(
+    kernel: &Kernel,
+    safety: Arc<ParallelSafety>,
+) -> Result<CompiledKernel, ExecError> {
+    debug_assert!(
+        *safety == analysis::parallel_safety(kernel),
+        "kernel `{}` compiled with another kernel's disjoint-access verdict",
+        kernel.name
+    );
     let mut c = Compiler {
         kernel,
         ops: Vec::new(),
@@ -441,7 +467,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         n_arg_slots: n_slots,
         n_iregs: c.next_i,
         n_fregs: c.next_f,
-        safety: analysis::parallel_safety(kernel),
+        safety,
     })
 }
 
@@ -1577,7 +1603,7 @@ impl CompiledKernel {
     /// interval, so no chunk can fault on a carved buffer.
     #[must_use]
     pub fn plan(&self, buffers: &BufferMap, launch: &Launch, threads: usize) -> LaunchPlan {
-        let ParallelSafety::Disjoint(summary) = &self.safety else {
+        let ParallelSafety::Disjoint(summary) = &*self.safety else {
             return LaunchPlan {
                 lockstep: false,
                 chunks: None,

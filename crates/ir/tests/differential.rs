@@ -7,17 +7,25 @@
 //! Half the kernels store through unclamped affine indices that the
 //! disjoint-access proof can admit, over launches of at least 64 items,
 //! so both non-sequential executors really run; the test counts how often
-//! each does, through the same plan query the executor follows.
+//! each does, through the same plan query the executor follows. The
+//! proof's verdict must also survive a random retyping of every kernel's
+//! buffers and a random in-kernel compute map, since compiled precision
+//! variants share their kernel's verdict.
 
+use prescaler_ir::analysis::parallel_safety;
 use prescaler_ir::dsl::*;
 use prescaler_ir::interp::{run_kernel, BufferMap, Launch};
 use prescaler_ir::parse::parse_kernel;
+use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::print::kernel_to_string;
 use prescaler_ir::typeck::check_kernel;
 use prescaler_ir::verify::{verify_kernel, Severity};
 use prescaler_ir::vm::{compile_kernel, VmScratch};
-use prescaler_ir::{Access, CmpOp, Expr, FloatVec, Kernel, Precision, ScalarType, Stmt, TypeRef};
+use prescaler_ir::{
+    Access, CmpOp, Expr, FloatVec, Kernel, Param, Precision, ScalarType, Stmt, TypeRef,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const BUF_LEN: i64 = 17;
 
@@ -581,15 +589,52 @@ fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
     (plan.lockstep(), plan.chunks() > 1)
 }
 
+/// A random precision for every buffer parameter of `k`.
+fn arb_precision_map(k: &Kernel) -> impl Strategy<Value = HashMap<String, Precision>> {
+    let buffers: Vec<String> = k
+        .params
+        .iter()
+        .filter(|p| matches!(p, Param::Buffer { .. }))
+        .map(|p| p.name().to_owned())
+        .collect();
+    proptest::collection::vec(arb_precision(), buffers.len()..buffers.len() + 1)
+        .prop_map(move |ps| buffers.iter().cloned().zip(ps).collect())
+}
+
+/// The disjoint-access verdict of `k` retyped to `retype`, and of that
+/// computing at `compute`, is the verdict of `k`.
+fn check_verdict_ignores_precisions(
+    k: &Kernel,
+    retype: &HashMap<String, Precision>,
+    compute: &HashMap<String, Precision>,
+) {
+    let verdict = parallel_safety(k);
+    let retyped = retype_buffers(k, retype);
+    let cast = insert_casts(&retyped, compute);
+    for (what, variant) in [("retyped", &retyped), ("cast", &cast)] {
+        assert!(
+            parallel_safety(variant) == verdict,
+            "{what} to {retype:?}, computing at {compute:?}, changes the verdict\n{}",
+            kernel_to_string(k)
+        );
+    }
+}
+
 #[test]
 fn engines_and_analysis_agree_on_random_kernels() {
     let strategy = arb_case();
     let mut rng = TestRng::new(TestRng::seed_from_name("differential::random_kernels"));
+    // Precision maps draw from a stream of their own, so drawing them
+    // does not change which kernels the fixed seed generates.
+    let mut maps = TestRng::new(TestRng::seed_from_name("differential::precision_maps"));
     let mut scratch = VmScratch::new();
     let (mut lockstep, mut chunked) = (0usize, 0usize);
     for case_no in 0..CASES {
         let case = strategy.generate(&mut rng);
         let _note = CaseNote(case_no);
+        let retype = arb_precision_map(&case.kernel).generate(&mut maps);
+        let compute = arb_precision_map(&case.kernel).generate(&mut maps);
+        check_verdict_ignores_precisions(&case.kernel, &retype, &compute);
         let (l, c) = check(&case, &mut scratch);
         lockstep += usize::from(l);
         chunked += usize::from(c);

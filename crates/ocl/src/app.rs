@@ -10,8 +10,10 @@
 use crate::error::OclError;
 use crate::session::Session;
 use crate::spec::ScalingSpec;
+use crate::variants::VariantCache;
 use prescaler_ir::{FloatVec, Program};
 use prescaler_sim::SystemModel;
+use std::sync::Arc;
 
 /// Named host-side output arrays of one run.
 pub type Outputs = Vec<(String, FloatVec)>;
@@ -21,7 +23,9 @@ pub trait HostApp: Sync {
     /// Application name ("GEMM").
     fn name(&self) -> &str;
 
-    /// The kernel program (original, unscaled precisions).
+    /// The kernel program (original, unscaled precisions). It must be the
+    /// same program on every call: a trial engine calls this once and runs
+    /// every trial on the program it got.
     fn program(&self) -> Program;
 
     /// Executes the host driver against a session, returning the
@@ -44,25 +48,28 @@ pub fn run_app(
     system: &SystemModel,
     spec: &ScalingSpec,
 ) -> Result<(Outputs, crate::profile::ProfileLog), OclError> {
-    run_app_threaded(app, system, spec, 1)
+    let variants = Arc::new(VariantCache::new(app.program()));
+    run_app_shared(app, &variants, system, spec, 1)
 }
 
-/// [`run_app`] with a real worker-thread budget for the session's
-/// data-parallel execution and conversion paths. Results are
-/// bit-identical to [`run_app`] at any budget; only host wall-clock
-/// changes.
+/// [`run_app`] over a variant cache shared with other runs of `app`
+/// (built from its [`HostApp::program`]), with a real worker-thread
+/// budget for the session's data-parallel execution and conversion paths.
+/// Results are bit-identical to [`run_app`] at any budget and whatever
+/// the cache already holds; only host wall-clock changes.
 ///
 /// # Errors
 ///
 /// Propagates any [`OclError`] from the app's driver.
-pub fn run_app_threaded(
+pub fn run_app_shared(
     app: &dyn HostApp,
+    variants: &Arc<VariantCache>,
     system: &SystemModel,
     spec: &ScalingSpec,
     threads: usize,
 ) -> Result<(Outputs, crate::profile::ProfileLog), OclError> {
-    let mut session =
-        Session::new(system.clone(), app.program(), spec.clone()).with_exec_threads(threads);
+    let mut session = Session::shared(system.clone(), Arc::clone(variants), spec.clone())
+        .with_exec_threads(threads);
     let outputs = app.run(&mut session)?;
     Ok((outputs, session.into_log()))
 }

@@ -20,6 +20,17 @@ pub enum OclError {
         /// Parameter name.
         param: String,
     },
+    /// One buffer was bound to two buffer parameters of a launch. The VM
+    /// binds a buffer under one parameter name, so the launch is refused
+    /// before any data moves.
+    AliasedBuffer {
+        /// Kernel name.
+        kernel: String,
+        /// Label of the buffer.
+        label: String,
+        /// The two parameters it was bound to, in parameter order.
+        params: (String, String),
+    },
     /// Host data passed to a write did not match the expected precision.
     HostPrecisionMismatch {
         /// Buffer label.
@@ -76,6 +87,14 @@ impl fmt::Display for OclError {
             OclError::UnboundParam { kernel, param } => {
                 write!(f, "parameter `{param}` of kernel `{kernel}` is unbound")
             }
+            OclError::AliasedBuffer {
+                kernel,
+                label,
+                params: (a, b),
+            } => write!(
+                f,
+                "buffer `{label}` is bound to both `{a}` and `{b}` of kernel `{kernel}`"
+            ),
             OclError::HostPrecisionMismatch {
                 label,
                 expected,

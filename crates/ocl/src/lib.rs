@@ -13,7 +13,9 @@
 //! * [`spec::ScalingSpec`] — the applied configuration (mechanism only);
 //! * [`profile::ProfileLog`] — the recorded event stream and timeline;
 //! * [`app::HostApp`] — the application abstraction the framework re-runs
-//!   under different configurations.
+//!   under different configurations;
+//! * [`variants::VariantCache`] — a program's compiled precision-scaled
+//!   kernel variants, which the sessions of one tune share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +25,11 @@ pub mod error;
 pub mod profile;
 pub mod session;
 pub mod spec;
+pub mod variants;
 
-pub use app::{run_app, run_app_threaded, HostApp, Outputs};
+pub use app::{run_app, run_app_shared, HostApp, Outputs};
 pub use error::OclError;
 pub use profile::{Event, ObjectInfo, ProfileLog, Timeline, WriteStats};
 pub use session::{default_exec_threads, BufferId, KernelArg, Session};
 pub use spec::{PlanChoice, ScalingSpec};
+pub use variants::VariantCache;

@@ -10,12 +10,12 @@
 use crate::error::OclError;
 use crate::profile::{ObjectInfo, ProfileLog, Timeline, WriteStats};
 use crate::spec::ScalingSpec;
+use crate::variants::VariantCache;
 use prescaler_ir::interp::{BufferMap, Launch};
-use prescaler_ir::passes::{insert_casts, retype_buffers};
-use prescaler_ir::vm::{compile_kernel, CompiledKernel, VmScratch};
+use prescaler_ir::vm::VmScratch;
 use prescaler_ir::{FloatVec, Param, Precision, Program, ScalarBound};
 use prescaler_sim::{Direction, FaultPlan, HostMethod, SimTime, SystemModel, TransferPlan};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Attempts per operation before a transient fault becomes fatal.
 const MAX_ATTEMPTS: u32 = 4;
@@ -77,14 +77,12 @@ pub enum KernelArg {
 #[derive(Debug)]
 pub struct Session {
     system: SystemModel,
-    program: Program,
+    /// The program and its compiled kernel variants, possibly shared with
+    /// other sessions.
+    variants: Arc<VariantCache>,
     spec: ScalingSpec,
     buffers: Vec<DeviceBuffer>,
     log: ProfileLog,
-    /// Precision-scaled kernel variants, compiled on first use (the
-    /// paper's "compiler generates precision-scaled kernel in all
-    /// possible cases" — here compiled lazily and cached).
-    compiled: HashMap<(String, Vec<Precision>), std::sync::Arc<CompiledKernel>>,
     /// Register/binding storage reused across kernel launches.
     scratch: VmScratch,
     /// Real worker-thread budget for data-parallel kernel execution and
@@ -95,16 +93,22 @@ pub struct Session {
 impl Session {
     /// Creates a session for `program` on `system` under `spec`
     /// (`clCreateContext` + `clCreateProgramWithSource` + custom compile),
-    /// running strictly sequentially.
+    /// running strictly sequentially, with a variant cache of its own.
     #[must_use]
     pub fn new(system: SystemModel, program: Program, spec: ScalingSpec) -> Session {
+        Session::shared(system, Arc::new(VariantCache::new(program)), spec)
+    }
+
+    /// [`Session::new`] over a variant cache other sessions may share: a
+    /// kernel variant any of them compiled is not compiled again.
+    #[must_use]
+    pub fn shared(system: SystemModel, variants: Arc<VariantCache>, spec: ScalingSpec) -> Session {
         Session {
             system,
-            program,
+            variants,
             spec,
             buffers: Vec::new(),
             log: ProfileLog::default(),
-            compiled: HashMap::new(),
             scratch: VmScratch::new(),
             exec_threads: 1,
         }
@@ -354,40 +358,38 @@ impl Session {
     /// the bound buffers' device precisions* (the spec's memory-object
     /// scaling), then transformed by the spec's in-kernel cast map if one
     /// is present. The transformed kernel is verified (type check
-    /// included), compiled once per variant, executed functionally by the
-    /// VM, and its dynamic operation counts are priced on the GPU model.
+    /// included), compiled once per variant in the session's
+    /// [`VariantCache`], executed functionally by the VM, and its dynamic
+    /// operation counts are priced on the GPU model.
     ///
     /// # Errors
     ///
-    /// Propagates unknown kernels, unbound/foreign arguments, a scaled
-    /// kernel failing the verifier, and execution errors.
+    /// Propagates unknown kernels, unbound/foreign arguments, a buffer
+    /// bound to two parameters, a scaled kernel failing the verifier, and
+    /// execution errors.
     pub fn launch_kernel(
         &mut self,
         name: &str,
         global: [usize; 2],
         args: &[(&str, KernelArg)],
     ) -> Result<SimTime, OclError> {
-        // Only the parameter list is needed up front; the kernel body is
-        // re-borrowed lazily below, so launches hitting the compiled-variant
-        // cache never clone the kernel.
-        let params: Vec<Param> = self
-            .program
+        // A handle of its own on the cache keeps the kernel's parameter
+        // list borrowed, not cloned, while the session changes below.
+        let variants = Arc::clone(&self.variants);
+        let (index, kernel) = variants
             .kernel(name)
-            .ok_or_else(|| OclError::UnknownKernel(name.to_owned()))?
-            .params
-            .clone();
+            .ok_or_else(|| OclError::UnknownKernel(name.to_owned()))?;
 
         self.admit(|| format!("launch `{name}`"), FaultPlan::launch_fails)?;
 
         // Resolve bindings.
-        let mut retype: HashMap<String, Precision> = HashMap::new();
-        let mut buffer_args: Vec<(String, BufferId)> = Vec::new();
+        let mut buffer_args: Vec<(&str, BufferId)> = Vec::new();
         let mut scalar_args: Vec<(String, ScalarBound)> = Vec::new();
         let mut launch = Launch {
             global,
             args: Vec::new(),
         };
-        for p in &params {
+        for p in &kernel.params {
             let supplied = args
                 .iter()
                 .find(|(n, _)| *n == p.name())
@@ -399,8 +401,15 @@ impl Session {
             match (p, supplied) {
                 (Param::Buffer { name: pname, .. }, KernelArg::Buffer(id)) => {
                     let b = self.buffer(*id)?;
-                    retype.insert(pname.clone(), b.device_precision);
-                    buffer_args.push((pname.clone(), *id));
+                    // The VM binds each buffer under one parameter name.
+                    if let Some(&(first, _)) = buffer_args.iter().find(|(_, bound)| bound == id) {
+                        return Err(OclError::AliasedBuffer {
+                            kernel: name.to_owned(),
+                            label: b.label.clone(),
+                            params: (first.to_owned(), pname.clone()),
+                        });
+                    }
+                    buffer_args.push((pname, *id));
                 }
                 (Param::Scalar { name: pname, .. }, KernelArg::Int(v)) => {
                     scalar_args.push((pname.clone(), ScalarBound::Int(*v)));
@@ -419,36 +428,21 @@ impl Session {
             }
         }
 
-        // Select (or compile) the precision-scaled kernel variant.
-        let variant_key = (
-            name.to_owned(),
-            params
+        // Select (or compile) the precision-scaled kernel variant, keyed by
+        // the bound buffers' device precisions and the kernel's compute map.
+        let compiled = variants.variant(
+            index,
+            buffer_args
                 .iter()
-                .filter_map(|p| match p {
-                    Param::Buffer { name: pn, .. } => retype.get(pn).copied(),
-                    Param::Scalar { .. } => None,
-                })
-                .collect::<Vec<Precision>>(),
-        );
-        let compiled = if let Some(c) = self.compiled.get(&variant_key) {
-            c.clone()
-        } else {
-            let kernel = self.program.kernel(name).expect("existence checked");
-            let mut scaled = retype_buffers(kernel, &retype);
-            if let Some(compute) = self.spec.in_kernel.get(name) {
-                scaled = insert_casts(&scaled, compute);
-            }
-            reject_verifier_errors(&scaled)?;
-            let c = std::sync::Arc::new(compile_kernel(&scaled)?);
-            self.compiled.insert(variant_key, c.clone());
-            c
-        };
+                .map(|&(_, id)| self.buffers[id.0].device_precision),
+            self.spec.in_kernel.get(name),
+        )?;
 
         // Move the bound buffers into a launch map, run, move back.
         let mut map = BufferMap::new();
-        for (pname, id) in &buffer_args {
+        for &(pname, id) in &buffer_args {
             map.insert(
-                pname.clone(),
+                pname.to_owned(),
                 std::mem::replace(
                     &mut self.buffers[id.0].data,
                     FloatVec::zeros(0, Precision::Half),
@@ -456,8 +450,8 @@ impl Session {
             );
         }
         let result = compiled.run_parallel(&mut map, &launch, &mut self.scratch, self.exec_threads);
-        for (pname, id) in &buffer_args {
-            if let Some(data) = map.remove(pname.as_str()) {
+        for &(pname, id) in &buffer_args {
+            if let Some(data) = map.remove(pname) {
                 self.buffers[id.0].data = data;
             }
         }
@@ -475,32 +469,11 @@ impl Session {
         let time = gpu_time * self.system.faults.time_noise_factor();
         let arg_map: Vec<(String, String)> = buffer_args
             .iter()
-            .map(|(pname, id)| (pname.clone(), self.buffers[id.0].label.clone()))
+            .map(|&(pname, id)| (pname.to_owned(), self.buffers[id.0].label.clone()))
             .collect();
         self.log
             .record_kernel(name, arg_map, scalar_args, global, counts, time);
         Ok(time)
-    }
-}
-
-/// Rejects a kernel carrying Error-severity verifier diagnostics —
-/// structurally broken or ill-typed IR (the verifier reports a type-checker
-/// refusal as a `TypeClash` error) must never reach compilation or
-/// execution.
-/// Warnings (dead stores, unused params) are the lint tool's business.
-fn reject_verifier_errors(kernel: &prescaler_ir::Kernel) -> Result<(), OclError> {
-    let errors: Vec<String> = prescaler_ir::verify_kernel(kernel)
-        .into_iter()
-        .filter(|d| d.severity() == prescaler_ir::Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(OclError::Verify {
-            kernel: kernel.name.clone(),
-            message: errors.join("; "),
-        })
     }
 }
 
@@ -510,6 +483,7 @@ mod tests {
     use crate::spec::PlanChoice;
     use prescaler_ir::dsl::*;
     use prescaler_ir::Access;
+    use std::collections::HashMap;
 
     fn vec_scale_program() -> Program {
         Program::new("vscale").with_kernel(
@@ -745,6 +719,54 @@ mod tests {
             s.launch_kernel("vscale", [1, 1], &[("x", KernelArg::Buffer(x))]),
             Err(OclError::UnboundParam { .. })
         ));
+    }
+
+    #[test]
+    fn aliased_buffer_arguments_are_refused_before_data_moves() {
+        let axpy = Program::new("axpy").with_kernel(
+            kernel("axpy")
+                .buffer("x", Precision::Double, Access::Read)
+                .buffer("y", Precision::Double, Access::ReadWrite)
+                .float_param_like("a", "x")
+                .body(vec![
+                    let_("i", global_id(0)),
+                    store(
+                        "y",
+                        var("i"),
+                        var("a") * load("x", var("i")) + load("y", var("i")),
+                    ),
+                ]),
+        );
+        let mut s = Session::new(SystemModel::system1(), axpy, ScalingSpec::baseline());
+        let n = 8usize;
+        let xs: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
+        let host = FloatVec::from_f64_slice(&xs, Precision::Double);
+        let v = s.create_buffer("V", n, Precision::Double).unwrap();
+        s.enqueue_write(v, &host).unwrap();
+        let err = s
+            .launch_kernel(
+                "axpy",
+                [n, 1],
+                &[
+                    ("x", KernelArg::Buffer(v)),
+                    ("y", KernelArg::Buffer(v)),
+                    ("a", KernelArg::Float(2.0)),
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            OclError::AliasedBuffer {
+                kernel: "axpy".into(),
+                label: "V".into(),
+                params: ("x".into(), "y".into()),
+            }
+        );
+        let dev = s.peek(v).unwrap();
+        assert_eq!(dev.precision(), Precision::Double);
+        assert_eq!(dev.iter_f64().collect::<Vec<_>>(), xs);
+        let back = s.enqueue_read(v).unwrap();
+        assert_eq!(back.iter_f64().collect::<Vec<_>>(), xs);
     }
 
     #[test]

@@ -36,32 +36,35 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # deliberately broken kernel class with its specific typed diagnostic.
 cargo run --release --offline --bin prescaler-verify
 
-# Seeded fault matrix: the guard, pipeline, crash-resume, and
-# system-drift property suites replayed under fixed seeds, so every CI
-# run explores the same three fault universes deterministically (the
-# suites mix the seed into their generated fault plans via
-# PRESCALER_FAULT_SEED). The crash-resume suite kills a durable tune at
-# every trial boundary — under clean, torn-tail, and garbage-tail
-# shutdowns — and requires the resumed result to be bit-identical with
-# zero journaled trials re-executed. The drift suite throttles, starves,
-# and unplugs the serving system and requires TOQ-or-fallback serving,
-# typed device-loss errors, fingerprint-bound snapshots, and warm
-# re-tunes that are bit-identical to cold ones at strictly fewer
-# executions. The serving suite overloads a bounded-admission front-end
+# Seeded fault matrix: the guard, crash-resume, system-drift, serving,
+# parallel-execution, static-analysis and trial-engine property suites
+# replayed under fixed seeds, so every CI run explores the same three
+# fault universes deterministically (the suites mix the seed into their
+# generated fault plans via PRESCALER_FAULT_SEED). The pipeline suite runs
+# in the loop too but reads no seed, so its three rows are one run. The
+# crash-resume suite kills a durable tune at every trial boundary — under
+# clean, torn-tail, and garbage-tail shutdowns — and requires the resumed
+# result to be bit-identical with zero journaled trials re-executed. The
+# drift suite throttles, starves, and unplugs the serving system and
+# requires TOQ-or-fallback serving, typed device-loss errors,
+# fingerprint-bound snapshots, and warm re-tunes that are bit-identical to
+# cold ones at strictly fewer executions. The serving suite overloads a bounded-admission front-end
 # (arrival bursts, tight queues, tight deadlines, device loss) and
 # requires bit-identical per-request outcomes at 1/2/8 workers, a typed
 # rejection for every shed request, and TOQ-or-fallback for every
 # admitted one. The static-analysis suite pins the prune-equivalence
 # guarantee — tuned decisions bit-identical with static pruning on and
 # off, trials strictly fewer where anything was pruned — per fault
-# universe.
+# universe. The trial-engine suite pins speculative and sequential
+# engines, whose concurrent trials share one compiled-variant cache, to
+# bit-identical tuning results per fault universe.
 for seed in 1 2 3; do
     PRESCALER_FAULT_SEED=$seed \
         cargo test -q --offline \
         --test guard_properties --test pipeline_properties \
         --test crash_resume_properties --test drift_properties \
         --test serve_properties --test parallel_exec_properties \
-        --test static_analysis_properties
+        --test static_analysis_properties --test trial_engine_equivalence
 done
 
 # Crash-resume smoke: kill one tune at a seeded boundary with a seeded

@@ -365,3 +365,59 @@ fn polybench_lockstep_verdicts_at_scale_one_tenth() {
     seen.dedup();
     assert_eq!(seen.len(), 27, "every polybench kernel launched: {seen:?}");
 }
+
+/// The disjoint-access verdict reads no precision, which is what lets a
+/// variant cache run the analysis once per kernel: every polybench kernel
+/// under every buffer-precision map gets the base kernel's verdict, both
+/// retyped to the map and retyped then cast to compute one precision
+/// higher (Double wrapping to Half), so that every load carries a cast.
+#[test]
+fn disjoint_access_verdicts_ignore_precisions() {
+    use prescaler_ir::analysis::parallel_safety;
+    use prescaler_ir::passes::{insert_casts, retype_buffers};
+    use prescaler_ir::Param;
+    use std::collections::HashMap;
+
+    let up = |p: Precision| match p {
+        Precision::Half => Precision::Single,
+        Precision::Single => Precision::Double,
+        Precision::Double => Precision::Half,
+    };
+    let (mut kernels, mut cases) = (0usize, 0usize);
+    for &kind in &BenchKind::ALL {
+        for base in &PolyApp::tiny(kind).program().kernels {
+            let verdict = parallel_safety(base);
+            let buffers: Vec<&str> = base
+                .params
+                .iter()
+                .filter(|p| matches!(p, Param::Buffer { .. }))
+                .map(Param::name)
+                .collect();
+            let maps = 3usize.pow(buffers.len() as u32);
+            for code in 0..maps {
+                let mut digits = code;
+                let map: HashMap<String, Precision> = buffers
+                    .iter()
+                    .map(|&b| {
+                        let p = [Precision::Half, Precision::Single, Precision::Double][digits % 3];
+                        digits /= 3;
+                        (b.to_owned(), p)
+                    })
+                    .collect();
+                let retyped = retype_buffers(base, &map);
+                let compute = map.iter().map(|(b, &p)| (b.clone(), up(p))).collect();
+                let cast = insert_casts(&retyped, &compute);
+                for (what, variant) in [("retyped", &retyped), ("cast", &cast)] {
+                    assert!(
+                        parallel_safety(variant) == verdict,
+                        "{}: {what} under {map:?} changes the verdict",
+                        base.name
+                    );
+                    cases += 1;
+                }
+            }
+            kernels += 1;
+        }
+    }
+    assert_eq!((kernels, cases), (27, 1566), "kernels and cases checked");
+}
