@@ -160,6 +160,44 @@ impl fmt::Display for Scalar {
     }
 }
 
+/// `r`, the binary64 result of an operation on `x` and `y`, under the
+/// both-NaN rule of [`FloatBinOp::apply_f16`]: with both operands NaN it
+/// is `x`, quieted. The rule tests the result first, so a result that is
+/// not NaN costs one comparison; every VM path that does binary64
+/// arithmetic inline passes its results through here.
+#[inline(always)]
+pub(crate) fn nan_rule_f64(x: f64, y: f64, r: f64) -> f64 {
+    if r.is_nan() {
+        left_nan_f64(x, y, r)
+    } else {
+        r
+    }
+}
+
+/// The NaN result of a binary64 operation on `x` and `y` whose hardware
+/// result is `r`.
+#[cold]
+#[inline(never)]
+fn left_nan_f64(x: f64, y: f64, r: f64) -> f64 {
+    if x.is_nan() && y.is_nan() {
+        f64::from_bits(x.to_bits() | 1 << 51)
+    } else {
+        r
+    }
+}
+
+/// The NaN result of a binary32 operation on `x` and `y` whose hardware
+/// result is `r`.
+#[cold]
+#[inline(never)]
+fn left_nan_f32(x: f32, y: f32, r: f32) -> f32 {
+    if x.is_nan() && y.is_nan() {
+        f32::from_bits(x.to_bits() | 1 << 22)
+    } else {
+        r
+    }
+}
+
 /// Arithmetic binary operators on floats (and ints, for index math).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FloatBinOp {
@@ -178,38 +216,47 @@ pub enum FloatBinOp {
 }
 
 impl FloatBinOp {
-    /// The operation in binary64.
+    /// The operation in binary64, under the both-NaN rule of
+    /// [`FloatBinOp::apply_f16`] ([`nan_rule_f64`]).
     #[inline]
     #[must_use]
     pub(crate) fn apply_f64(self, x: f64, y: f64) -> f64 {
-        match self {
+        let r = match self {
             FloatBinOp::Add => x + y,
             FloatBinOp::Sub => x - y,
             FloatBinOp::Mul => x * y,
             FloatBinOp::Div => x / y,
             FloatBinOp::Min => x.min(y),
             FloatBinOp::Max => x.max(y),
-        }
+        };
+        nan_rule_f64(x, y, r)
     }
 
-    /// The operation in binary32.
+    /// The operation in binary32, under the both-NaN rule of
+    /// [`FloatBinOp::apply_f16`].
     #[inline]
     #[must_use]
     pub(crate) fn apply_f32(self, x: f32, y: f32) -> f32 {
-        match self {
+        let r = match self {
             FloatBinOp::Add => x + y,
             FloatBinOp::Sub => x - y,
             FloatBinOp::Mul => x * y,
             FloatBinOp::Div => x / y,
             FloatBinOp::Min => x.min(y),
             FloatBinOp::Max => x.max(y),
+        };
+        if r.is_nan() {
+            left_nan_f32(x, y, r)
+        } else {
+            r
         }
     }
 
     /// The operation in binary16. With both operands NaN the result is the
-    /// left one, quieted: the widened `f32` arithmetic would return
-    /// whichever operand the compiler happened to order first, and it may
-    /// commute them differently in each inlined copy of this rule.
+    /// left one, quieted: the hardware would return whichever operand the
+    /// compiler happened to order first, and it may commute them
+    /// differently in each inlined copy of an operation. Binary32 and
+    /// binary64 follow the same rule.
     #[inline]
     #[must_use]
     pub(crate) fn apply_f16(self, x: F16, y: F16) -> F16 {

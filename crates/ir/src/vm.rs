@@ -17,9 +17,16 @@
 //! NDRange row, each op dispatched once per block over lane registers.
 //! Blocks keep the sequential order, and the proof says no two lanes of a
 //! block touch a common element of a stored buffer, so every lane computes
-//! what it would alone. A block that hits an error rolls its stores back
-//! from an undo log of raw element bits and replays item by item, which
-//! reproduces the sequential error and partial writes.
+//! what it would alone. A fused dot-product loop (`Op::DotLoop`) runs
+//! once for a whole block when its active lanes agree on the counter and
+//! the bound and no operand index is the counter squared, so each lane's
+//! index moves by a fixed step per trip: trip by trip, an operand every
+//! lane reads at one element is one load, any other a bounds-checked read
+//! per lane, and each lane's sum takes its roundings in the sequential
+//! trip order. Otherwise the lanes run the loop one at a time. A block
+//! that hits an error rolls its stores back from an undo log of raw
+//! element bits and replays item by item, which reproduces the sequential
+//! error and partial writes.
 //!
 //! Three implementation points matter for the equivalence:
 //!
@@ -31,7 +38,10 @@
 //!   binary16 operands is exact (`+ - *`) or correctly rounded with
 //!   53 ≥ 2·11+2 bits (`/`), so one rounding to binary16 gives the
 //!   correctly rounded result; NaN results take the `F16` operators so
-//!   payloads match.
+//!   payloads match. With two NaN operands every precision returns the
+//!   left one, quieted, where the hardware would return whichever operand
+//!   the compiler ordered first: binary64 arithmetic done inline tests its
+//!   result for NaN and applies that rule on a cold path.
 //! * Constants and `get_global_id(d ≥ 2)` live in a launch-bound pool:
 //!   one register per distinct value, written once when a launch binds
 //!   (and broadcast over a block's lanes with the scalar arguments) and
@@ -51,7 +61,7 @@ use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt};
 use crate::counts::OpCounts;
 use crate::interp::{resolve, select_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
-use crate::value::{CmpOp, FloatBinOp, UnaryFn};
+use crate::value::{nan_rule_f64, CmpOp, FloatBinOp, UnaryFn};
 use prescaler_fp16::F16;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -316,6 +326,15 @@ impl VmScratch {
     #[must_use]
     pub fn new() -> VmScratch {
         VmScratch::default()
+    }
+
+    /// How many times the runs on this scratch ran a fused dot-product
+    /// loop once for all the lanes of a lock-step block, rather than lane
+    /// by lane (for diagnostics).
+    #[must_use]
+    pub fn lockstep_dot_loops(&self) -> u64 {
+        let workers = self.workers.iter().map(|w| w.lanes.dot_loops);
+        self.main.lanes.dot_loops + workers.sum::<u64>()
     }
 }
 
@@ -1486,6 +1505,14 @@ fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
     }
 }
 
+/// `acc + x·y` in binary64, rounding the product and then the sum (not
+/// a fused multiply-add), each under the both-NaN rule.
+#[inline(always)]
+fn mul_add_f64(acc: f64, x: f64, y: f64) -> f64 {
+    let m = nan_rule_f64(x, y, x * y);
+    nan_rule_f64(acc, m, acc + m)
+}
+
 #[inline]
 fn apply_fun(p: Precision, op: UnaryFn, a: f64) -> f64 {
     use crate::value::Scalar;
@@ -2061,6 +2088,7 @@ impl CompiledKernel {
             f: fr,
             pc: pcs,
             ix,
+            dot_loops,
             undo,
             hits,
         } = lanes;
@@ -2159,13 +2187,13 @@ impl CompiledKernel {
                 } => {
                     match (prec, op) {
                         (Precision::Double, FloatBinOp::Add) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| x + y);
+                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x + y));
                         }
                         (Precision::Double, FloatBinOp::Sub) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| x - y);
+                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x - y));
                         }
                         (Precision::Double, FloatBinOp::Mul) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| x * y);
+                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x * y));
                         }
                         _ => lanes2(fr, alu, dst, a, b, |x, y| apply_fbin(prec, op, x, y)),
                     }
@@ -2255,7 +2283,8 @@ impl CompiledKernel {
                 } => {
                     let (d, acc, a, b) = (dst as usize, acc as usize, a as usize, b as usize);
                     if (pm, pa) == (Precision::Double, Precision::Double) {
-                        each_lane!(alu, |l| fr[d][l] = fr[acc][l] + fr[a][l] * fr[b][l]);
+                        each_lane!(alu, |l| fr[d][l] =
+                            mul_add_f64(fr[acc][l], fr[a][l], fr[b][l]));
                     } else {
                         each_lane!(alu, |l| {
                             let m = apply_fbin(pm, FloatBinOp::Mul, fr[a][l], fr[b][l]);
@@ -2285,13 +2314,21 @@ impl CompiledKernel {
                 }
                 Op::DotLoop { idx } => {
                     let lp = &self.loop_table[idx as usize];
-                    let acc = lp.step.acc as usize;
-                    each_lane!(fx, |l| {
-                        let (k, sum, trips) = dot_loop(lp, |r| ir[r as usize][l], fr[acc][l], mem)?;
-                        ir[lp.var as usize][l] = k;
-                        fr[acc][l] = sum;
-                        hits[lp.count as usize] += trips;
-                    });
+                    let (acc, var) = (lp.step.acc as usize, lp.var as usize);
+                    if let Some(mut lockstep) = DotLanes::of(lp, ir, fx) {
+                        let (k, trips) = mem.dot_lanes(lp, &mut lockstep, &mut fr[acc], fx)?;
+                        each_lane!(fx, |l| ir[var][l] = k);
+                        hits[lp.count as usize] += trips * u64::from(group.count_ones());
+                        *dot_loops += 1;
+                    } else {
+                        each_lane!(fx, |l| {
+                            let (k, sum, trips) =
+                                dot_loop(lp, |r| ir[r as usize][l], fr[acc][l], mem)?;
+                            ir[var][l] = k;
+                            fr[acc][l] = sum;
+                            hits[lp.count as usize] += trips;
+                        });
+                    }
                     Flow::Next
                 }
             };
@@ -2532,6 +2569,16 @@ enum Sel {
     Mask(u64),
 }
 
+impl Sel {
+    /// The lowest lane.
+    fn first(self) -> usize {
+        match self {
+            Sel::All(_) => 0,
+            Sel::Mask(m) => m.trailing_zeros() as usize,
+        }
+    }
+}
+
 /// Where the lock-step executor goes after an op.
 enum Flow {
     Next,
@@ -2558,6 +2605,8 @@ struct Lanes {
     pc: [u32; BLOCK],
     /// Element indices of a fused indexed load.
     ix: [i64; BLOCK],
+    /// Dot loops run once for a whole block since the scratch was made.
+    dot_loops: u64,
     /// The running block's overwritten elements, oldest first.
     undo: Vec<Undo>,
     /// The running block's count-site hits.
@@ -2571,6 +2620,7 @@ impl Default for Lanes {
             f: Vec::new(),
             pc: [0; BLOCK],
             ix: [0; BLOCK],
+            dot_loops: 0,
             undo: Vec::new(),
             hits: Vec::new(),
         }
@@ -2623,8 +2673,7 @@ fn dot_step(
     let v1 = mem.load(d.buf1, i1)?;
     let i2 = reg(d.a2).wrapping_mul(reg(d.b2)).wrapping_add(reg(d.c2));
     let v2 = mem.load(d.buf2, i2)?;
-    let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
-    Ok(round_to(d.post, apply_fbin(d.pa, FloatBinOp::Add, acc, m)))
+    Ok(rounded_step(d.pm, d.pa, d.post, acc, v1, v2))
 }
 
 /// Runs a fused dot-product loop to its exit from accumulator `acc` and
@@ -2653,12 +2702,125 @@ fn dot_loop(
         let v1 = mem.load(d.buf1, i1)?;
         let i2 = at(a2, k).wrapping_mul(at(b2, k)).wrapping_add(at(c2, k));
         let v2 = mem.load(d.buf2, i2)?;
-        let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
-        acc = round_to(d.post, apply_fbin(d.pa, FloatBinOp::Add, acc, m));
+        acc = rounded_step(d.pm, d.pa, d.post, acc, v1, v2);
         trips += 1;
         k = k.wrapping_add(i64::from(l.imm));
     }
     Ok((k, acc, trips))
+}
+
+/// A fused dot loop that runs once for all the lanes of a block: the
+/// lanes agree on the counter and the bound, so they make the same trips,
+/// and no operand index is the square of the counter, so each lane's
+/// index moves by a fixed step per trip in the wrapping ring of the VM's
+/// integers.
+struct DotLanes {
+    /// The counter at entry.
+    k: i64,
+    /// The bound.
+    end: i64,
+    /// The two operands' reads, in operand order.
+    operands: [Reads; 2],
+}
+
+/// One operand of a lock-step dot loop: lane `l` reads element `at[l]`
+/// this trip and `at[l] + step[l]` the next.
+struct Reads {
+    at: [i64; BLOCK],
+    step: [i64; BLOCK],
+    /// The first lane, when every lane reads the first lane's element on
+    /// every trip.
+    uniform: Option<usize>,
+}
+
+impl DotLanes {
+    /// Fused dot loop `lp` over the lanes of `sel`, or `None` when the
+    /// lanes disagree on the counter or the bound, or an operand index is
+    /// `k·k`; those lanes run the loop one at a time.
+    fn of(lp: &DotLoopArgs, ir: &[[i64; BLOCK]], sel: Sel) -> Option<DotLanes> {
+        let l0 = sel.first();
+        let (var, end) = (&ir[lp.var as usize], &ir[lp.end as usize]);
+        let (k, bound) = (var[l0], end[l0]);
+        let mut agree = true;
+        each_lane!(sel, |l| agree &= var[l] == k && end[l] == bound);
+        let d = &lp.step;
+        let square = |a: IReg, b: IReg| a == lp.var && b == lp.var;
+        if !agree || square(d.a1, d.b1) || square(d.a2, d.b2) {
+            return None;
+        }
+        let next = k.wrapping_add(i64::from(lp.imm));
+        let reads = |[a, b, c]: [IReg; 3]| {
+            let at = |r: IReg, l: usize, k: i64| if r == lp.var { k } else { ir[r as usize][l] };
+            let index = |l: usize, k: i64| {
+                at(a, l, k)
+                    .wrapping_mul(at(b, l, k))
+                    .wrapping_add(at(c, l, k))
+            };
+            let mut r = Reads {
+                at: [0; BLOCK],
+                step: [0; BLOCK],
+                uniform: None,
+            };
+            let mut same = true;
+            each_lane!(sel, |l| {
+                r.at[l] = index(l, k);
+                r.step[l] = index(l, next).wrapping_sub(r.at[l]);
+                same &= (r.at[l], r.step[l]) == (r.at[l0], r.step[l0]);
+            });
+            r.uniform = same.then_some(l0);
+            r
+        };
+        Some(DotLanes {
+            k,
+            end: bound,
+            operands: [reads([d.a1, d.b1, d.c1]), reads([d.a2, d.b2, d.c2])],
+        })
+    }
+}
+
+/// Runs lock-step dot loop `lanes` of `lp` for the lanes of `sel` over
+/// the operands' windows `w1` and `w2`, trip by trip, summing into `acc`
+/// in place, and returns the counter at the exit and the trip count. Each
+/// lane's sum takes the roundings of [`dot_loop`] in the same trip order;
+/// an access outside a window is an error, after which the block replays
+/// item by item.
+fn dot_trips<T1: Elem, T2: Elem>(
+    lp: &DotLoopArgs,
+    lanes: &mut DotLanes,
+    (w1, w2): (&Window<'_, T1>, &Window<'_, T2>),
+    acc: &mut [f64; BLOCK],
+    sel: Sel,
+) -> Result<(i64, u64), ExecError> {
+    let mut vals = [[0.0; BLOCK]; 2];
+    let [r1, r2] = &mut lanes.operands;
+    let mut k = lanes.k;
+    let mut trips = 0;
+    while lp.op.holds(k, lanes.end) {
+        w1.trip_reads(r1, &mut vals[0], sel)?;
+        w2.trip_reads(r2, &mut vals[1], sel)?;
+        step_lanes(&lp.step, acc, &vals, sel);
+        trips += 1;
+        k = k.wrapping_add(i64::from(lp.imm));
+    }
+    Ok((k, trips))
+}
+
+/// One trip's arithmetic of a lock-step dot loop: lane `l` of `sel` adds
+/// `v1[l]·v2[l]` to `acc[l]` with the roundings of [`dot_step`]. Kept out
+/// of line, the lane loop exists once, not once per pair of element
+/// types.
+#[inline(never)]
+fn step_lanes(d: &DotStepArgs, acc: &mut [f64; BLOCK], [v1, v2]: &[[f64; BLOCK]; 2], sel: Sel) {
+    each_lane!(sel, |l| {
+        acc[l] = rounded_step(d.pm, d.pa, d.post, acc[l], v1[l], v2[l]);
+    });
+}
+
+/// `post(acc + pm(x·y))` rounded at `pa`: the arithmetic of a dot step.
+#[inline(always)]
+fn rounded_step(pm: Precision, pa: Precision, post: Precision, acc: f64, x: f64, y: f64) -> f64 {
+    let m = apply_fbin(pm, FloatBinOp::Mul, x, y);
+    round_to(post, apply_fbin(pa, FloatBinOp::Add, acc, m))
 }
 
 /// An element type of a [`FloatVec`].
@@ -2804,6 +2966,24 @@ impl<T: Elem> Window<'_, T> {
         each_lane!(sel, |l| {
             dst[l] = e[locate(self.name, self.len, self.lo, e.len(), idx[l])?].widen();
         });
+        Ok(())
+    }
+
+    /// One trip's reads of a lock-step dot-loop operand into `dst`, for
+    /// each lane of `sel`, after which each lane's index moves on to the
+    /// next trip's. A uniform operand is one read.
+    #[inline(always)]
+    fn trip_reads(&self, r: &mut Reads, dst: &mut [f64; BLOCK], sel: Sel) -> Result<(), ExecError> {
+        match r.uniform {
+            Some(l0) => {
+                dst.fill(self.get(r.at[l0])?);
+                r.at[l0] = r.at[l0].wrapping_add(r.step[l0]);
+            }
+            None => {
+                self.gather(&r.at, dst, sel)?;
+                each_lane!(sel, |l| r.at[l] = r.at[l].wrapping_add(r.step[l]));
+            }
+        }
         Ok(())
     }
 
@@ -2973,6 +3153,34 @@ impl Mem<'_> {
             Mem::Chunk(slots) => {
                 on_window!(&mut slots[buf as usize], |w| w.scatter(idx, src, sel, log))
             }
+        }
+    }
+
+    /// Runs fused dot loop `lp` once for the lanes of `sel` into their
+    /// accumulators `acc` ([`dot_trips`]), with one dispatch on the
+    /// operands' element types.
+    fn dot_lanes(
+        &self,
+        lp: &DotLoopArgs,
+        lanes: &mut DotLanes,
+        acc: &mut [f64; BLOCK],
+        sel: Sel,
+    ) -> Result<(i64, u64), ExecError> {
+        let (b1, b2) = (lp.step.buf1 as usize, lp.step.buf2 as usize);
+        match self {
+            Mem::Whole(bufs) => {
+                let ((n1, d1), (n2, d2)) = (&bufs[b1], &bufs[b2]);
+                by_elem!(d1, |e1, _slot| by_elem!(d2, |e2, _slot| dot_trips(
+                    lp,
+                    lanes,
+                    (&whole(n1, Elems::Shared(e1)), &whole(n2, Elems::Shared(e2))),
+                    acc,
+                    sel
+                )))
+            }
+            Mem::Chunk(slots) => on_window!(&slots[b1], |w1| on_window!(&slots[b2], |w2| {
+                dot_trips(lp, lanes, (w1, w2), acc, sel)
+            })),
         }
     }
 
@@ -3531,20 +3739,24 @@ mod tests {
         bufs.insert("p".into(), FloatVec::zeros(n, Precision::Half));
         assert_equiv_bitwise(&k, &bufs, &Launch::one_d(n));
 
-        // The same payloads through a fused half dot-product loop.
-        let n = 8usize;
-        let mut bufs = BufferMap::new();
-        let mut a = vec![F16::from_f64(0.5); n * n];
-        a[3] = F16::from_bits(0x7C01);
-        a[n + 1] = F16::from_bits(0x7E02);
-        let mut b = vec![F16::from_f64(0.25); n * n];
-        b[2 * n + 5] = F16::from_bits(0x7E02);
-        b[n + 1] = F16::from_bits(0x7C01);
-        bufs.insert("a".into(), FloatVec::F16(a));
-        bufs.insert("b".into(), FloatVec::F16(b));
-        bufs.insert("c".into(), FloatVec::zeros(n * n, Precision::Half));
-        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
-        assert_equiv_bitwise(&mm(Precision::Half, Precision::Half), &bufs, &launch);
+        // The same payloads through a fused half dot-product loop, item
+        // by item (8-wide rows) and in lock step (70-wide rows).
+        for n in [8usize, 70] {
+            let mut bufs = BufferMap::new();
+            let mut a = vec![F16::from_f64(0.5); n * n];
+            a[3] = F16::from_bits(0x7C01);
+            a[n + 1] = F16::from_bits(0x7E02);
+            let mut b = vec![F16::from_f64(0.25); n * n];
+            b[2 * n + 5] = F16::from_bits(0x7E02);
+            b[n + 1] = F16::from_bits(0x7C01);
+            bufs.insert("a".into(), FloatVec::F16(a));
+            bufs.insert("b".into(), FloatVec::F16(b));
+            bufs.insert("c".into(), FloatVec::zeros(n * n, Precision::Half));
+            let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+            let k = mm(Precision::Half, Precision::Half);
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            assert_eq!(lockstep_dot_loops(&k, &bufs, &launch) > 0, n == 70);
+        }
 
         // A lock-step block that faults at lane 37 after overwriting NaN
         // payloads must put back their exact bits, not values
@@ -3563,6 +3775,348 @@ mod tests {
             assert_eq!(y[102].to_bits(), 0x7C01);
             assert_eq!(y[103].to_bits(), 0xFE02);
             assert_equiv_bitwise(&two_stores(Precision::Half), &bufs, &Launch::one_d(128));
+        }
+    }
+
+    /// Runs `kernel` sequentially on a fresh scratch and returns how many
+    /// fused dot loops ran once for a whole lock-step block.
+    fn lockstep_dot_loops(kernel: &Kernel, bufs: &BufferMap, launch: &Launch) -> u64 {
+        let mut scratch = VmScratch::new();
+        let compiled = compile_kernel(kernel).unwrap();
+        let _ = compiled.run_with_scratch(&mut bufs.clone(), launch, &mut scratch);
+        scratch.lockstep_dot_loops()
+    }
+
+    /// `(int) e`.
+    fn to_int(e: Expr) -> Expr {
+        Expr::Cast {
+            to: crate::TypeRef::Concrete(ScalarType::Int),
+            arg: Box::new(e),
+        }
+    }
+
+    /// [`gemm_buffers`] for [`mm`]: `a` and `b` at `ab`, `c` at `c_elem`,
+    /// with NaNs of both signs where a product of two NaNs follows.
+    fn mm_buffers(n: usize, ab: Precision, c_elem: Precision) -> BufferMap {
+        let mut bufs = gemm_buffers(n, Precision::Double);
+        let (pos, neg) = (
+            f64::from_bits(0x7FF8_0000_0000_0123),
+            f64::from_bits(0xFFF0_0000_0000_0456),
+        );
+        let mut a = bufs["a"].to_f64_vec();
+        let mut b = bufs["b"].to_f64_vec();
+        // a[1][3]·b[3][2], a[1][3]·b[3][n-4] and a[5][n-10]·b[n-10][10].
+        a[n + 3] = pos;
+        a[5 * n + n - 10] = neg;
+        b[3 * n + 2] = neg;
+        b[3 * n + n - 4] = neg;
+        b[(n - 10) * n + 10] = pos;
+        bufs.insert("a".into(), FloatVec::from_f64_slice(&a, ab));
+        bufs.insert("b".into(), FloatVec::from_f64_slice(&b, ab));
+        bufs.insert("c".into(), FloatVec::zeros(n * n, c_elem));
+        bufs
+    }
+
+    #[test]
+    fn both_nan_operands_give_the_left_one_quieted() {
+        // With two NaN operands, binary32/64 hardware returns whichever
+        // the compiler put first, and it may commute them differently in
+        // each inlined copy of an operation; the interpreter and every VM
+        // path return the left operand, quieted.
+        let k = kernel("nan2")
+            .buffer("x", Precision::Double, Access::Read)
+            .buffer("y", Precision::Double, Access::Read)
+            .buffer("s", Precision::Double, Access::Write)
+            .buffer("m", Precision::Double, Access::Write)
+            .body(vec![
+                let_("i", global_id(0)),
+                store("s", var("i"), load("x", var("i")) + load("y", var("i"))),
+                store("m", var("i"), load("x", var("i")) * load("y", var("i"))),
+            ]);
+        let (pos, neg) = (0x7FF8_0000_0000_0001u64, 0xFFF8_0000_0000_0002u64);
+        let snan = 0x7FF0_0000_0000_0003u64;
+        for n in [8usize, 128] {
+            let xs: Vec<f64> = (0..n)
+                .map(|i| f64::from_bits([pos, neg, snan][i % 3]))
+                .collect();
+            let ys: Vec<f64> = (0..n)
+                .map(|i| f64::from_bits(if i % 4 < 2 { neg } else { pos }))
+                .collect();
+            let mut bufs = BufferMap::new();
+            bufs.insert("x".into(), FloatVec::F64(xs));
+            bufs.insert("y".into(), FloatVec::F64(ys));
+            bufs.insert("s".into(), FloatVec::zeros(n, Precision::Double));
+            bufs.insert("m".into(), FloatVec::zeros(n, Precision::Double));
+            let launch = Launch::one_d(n);
+            let compiled = compile_kernel(&k).unwrap();
+            assert_eq!(compiled.plan(&bufs, &launch, 1).lockstep(), n == 128);
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            let mut want = bufs.clone();
+            run_kernel(&k, &mut want, &launch).unwrap();
+            for name in ["s", "m"] {
+                assert_eq!(&bits(&want[name])[..3], [pos, neg, snan | 1 << 51]);
+            }
+        }
+        // Opposite-sign NaNs multiplied in a fused single-precision dot
+        // loop, item by item and in lock step.
+        for n in [12usize, 70] {
+            let bufs = mm_buffers(n, Precision::Single, Precision::Single);
+            let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+            assert_equiv_bitwise(&mm(Precision::Single, Precision::Single), &bufs, &launch);
+        }
+    }
+
+    #[test]
+    fn lockstep_dot_loops_match_the_interpreter_at_every_precision() {
+        // 70-wide rows: a 64-lane block, then a 6-lane one. Row `i` reads
+        // `a[i*n + kk]` in every lane and `b[kk*n + j]` at consecutive
+        // addresses, so each block runs its loop once.
+        let n = 70usize;
+        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+        for (ab, c_elem) in [
+            (Precision::Double, Precision::Double),
+            (Precision::Single, Precision::Single),
+            (Precision::Half, Precision::Half),
+            (Precision::Double, Precision::Half),
+            (Precision::Half, Precision::Double),
+        ] {
+            let k = mm(ab, c_elem);
+            let bufs = mm_buffers(n, ab, c_elem);
+            assert!(compile_kernel(&k)
+                .unwrap()
+                .plan(&bufs, &launch, 1)
+                .lockstep());
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            assert_eq!(
+                lockstep_dot_loops(&k, &bufs, &launch),
+                2 * n as u64,
+                "{ab:?}/{c_elem:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lockstep_dot_loops_read_one_buffer_strided_across_lanes() {
+        // SYRK's shape: `a[i*m + kk]` is one element per row, `a[j*m + kk]`
+        // is `m` elements apart from lane to lane.
+        let at = |r: &str, c: &str, w: &str| var(r) * var(w) + var(c);
+        let k = kernel("syrk")
+            .buffer("a", Precision::Single, Access::Read)
+            .buffer("c", Precision::Single, Access::ReadWrite)
+            .int_param("n")
+            .int_param("m")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_acc("acc", "c", load("c", at("i", "j", "n")) * flit(0.5)),
+                for_(
+                    "kk",
+                    int(0),
+                    var("m"),
+                    vec![add_assign(
+                        "acc",
+                        load("a", at("i", "kk", "m")) * load("a", at("j", "kk", "m")),
+                    )],
+                ),
+                store("c", at("i", "j", "n"), var("acc")),
+            ]);
+        let (n, m) = (70usize, 9usize);
+        let xs: Vec<f64> = (0..n * m).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
+        let cs: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let mut bufs = BufferMap::new();
+        bufs.insert("a".into(), FloatVec::from_f64_slice(&xs, Precision::Single));
+        bufs.insert("c".into(), FloatVec::from_f64_slice(&cs, Precision::Single));
+        let launch = Launch::two_d(n, n)
+            .arg_int("n", n as i64)
+            .arg_int("m", m as i64);
+        assert_equiv_bitwise(&k, &bufs, &launch);
+        assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), 2 * n as u64);
+    }
+
+    #[test]
+    fn lanes_that_disagree_on_the_trip_count_run_the_loop_one_at_a_time() {
+        // Lane `j` makes `t[j]` trips: 3 in every lane of the first block,
+        // 0–4 in the second, whose lanes run the loop one by one.
+        let k = kernel("trips")
+            .buffer("t", Precision::Double, Access::Read)
+            .buffer("a", Precision::Double, Access::Read)
+            .buffer("b", Precision::Double, Access::Read)
+            .buffer("c", Precision::Double, Access::Write)
+            .int_param("n")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_acc("acc", "c", flit(0.0)),
+                for_(
+                    "kk",
+                    int(0),
+                    to_int(load("t", var("j"))),
+                    vec![add_assign(
+                        "acc",
+                        load("a", var("i") * var("n") + var("kk"))
+                            * load("b", var("kk") * var("n") + var("j")),
+                    )],
+                ),
+                store("c", var("i") * var("n") + var("j"), var("acc")),
+            ]);
+        let n = 70usize;
+        let mut bufs = mm_buffers(n, Precision::Double, Precision::Double);
+        let ts: Vec<f64> = (0..n)
+            .map(|j| if j < 64 { 3.0 } else { (j % 5) as f64 })
+            .collect();
+        bufs.insert("t".into(), FloatVec::from_f64_slice(&ts, Precision::Double));
+        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+        assert!(compile_kernel(&k)
+            .unwrap()
+            .plan(&bufs, &launch, 1)
+            .lockstep());
+        assert_equiv_bitwise(&k, &bufs, &launch);
+        assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), n as u64);
+    }
+
+    #[test]
+    fn lanes_step_their_own_indices_unless_the_counter_is_squared() {
+        // `b[kk*j + i]` starts at one element for the whole row but steps
+        // by `j` per trip, a different step in every lane, and
+        // `b[j*j + kk]` is not evenly spaced across lanes: each lane steps
+        // its own index, so each block runs the loop once.
+        // `b[kk*kk + j]` moves by no fixed step, so the lanes run the loop
+        // one at a time.
+        let n = 70usize;
+        let mut bufs = mm_buffers(n, Precision::Double, Precision::Double);
+        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+        for (b_at, lockstep) in [
+            (var("kk") * var("j") + var("i"), true),
+            (var("j") * var("j") + var("kk"), true),
+            (var("kk") * var("kk") + var("j"), false),
+        ] {
+            let k = kernel("skew")
+                .buffer("a", Precision::Double, Access::Read)
+                .buffer("b", Precision::Double, Access::Read)
+                .buffer("c", Precision::Double, Access::Write)
+                .int_param("n")
+                .body(vec![
+                    let_("j", global_id(0)),
+                    let_("i", global_id(1)),
+                    let_acc("acc", "c", flit(0.0)),
+                    for_(
+                        "kk",
+                        int(0),
+                        var("n"),
+                        vec![add_assign(
+                            "acc",
+                            load("a", var("i") * var("n") + var("kk")) * load("b", b_at),
+                        )],
+                    ),
+                    store("c", var("i") * var("n") + var("j"), var("acc")),
+                ]);
+            let xs: Vec<f64> = (0..n * n + n).map(|i| (i as f64 * 0.7).sin()).collect();
+            bufs.insert("b".into(), FloatVec::from_f64_slice(&xs, Precision::Double));
+            assert!(compile_kernel(&k)
+                .unwrap()
+                .plan(&bufs, &launch, 1)
+                .lockstep());
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            let blocks = if lockstep { 2 * n as u64 } else { 0 };
+            assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), blocks);
+        }
+    }
+
+    #[test]
+    fn lanes_parked_at_the_other_arm_keep_their_accumulators() {
+        // Lanes with `j % 3 == 0` run the dot loop while the rest wait at
+        // the `else` arm, which reads and writes the same accumulator.
+        let k = kernel("arms")
+            .buffer("a", Precision::Double, Access::Read)
+            .buffer("b", Precision::Double, Access::Read)
+            .buffer("c", Precision::Double, Access::ReadWrite)
+            .int_param("n")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_acc("acc", "c", load("c", var("i") * var("n") + var("j"))),
+                if_else(
+                    cmp(CmpOp::Eq, var("j") - var("j") / int(3) * int(3), int(0)),
+                    vec![for_(
+                        "kk",
+                        int(0),
+                        var("n"),
+                        vec![add_assign(
+                            "acc",
+                            load("a", var("i") * var("n") + var("kk"))
+                                * load("b", var("kk") * var("n") + var("j")),
+                        )],
+                    )],
+                    vec![assign("acc", var("acc") * flit(3.0) - flit(1.0))],
+                ),
+                store("c", var("i") * var("n") + var("j"), var("acc")),
+            ]);
+        let n = 70usize;
+        let mut bufs = mm_buffers(n, Precision::Double, Precision::Double);
+        let cs: Vec<f64> = (0..n * n).map(|i| i as f64 * 0.25).collect();
+        bufs.insert("c".into(), FloatVec::from_f64_slice(&cs, Precision::Double));
+        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+        assert!(compile_kernel(&k)
+            .unwrap()
+            .plan(&bufs, &launch, 1)
+            .lockstep());
+        assert_equiv_bitwise(&k, &bufs, &launch);
+        assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), 2 * n as u64);
+    }
+
+    #[test]
+    fn dot_loop_indices_near_i64_max_match_the_interpreter() {
+        // `b[kk*n + jb]` with `jb = j*big + off`. A stride of `i64::MAX/32`
+        // wraps between the first and the last lane, and an offset near
+        // `i64::MAX` wraps past the first lane: each lane's index is
+        // checked, so lane 1 or lane 0 faults. A stride of -1 reads `b`
+        // backwards without a fault.
+        let k = kernel("far")
+            .buffer("a", Precision::Double, Access::Read)
+            .buffer("b", Precision::Double, Access::Read)
+            .buffer("c", Precision::Double, Access::Write)
+            .int_param("n")
+            .int_param("big")
+            .int_param("off")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_("jb", var("j") * var("big") + var("off")),
+                let_acc("acc", "c", flit(0.0)),
+                for_(
+                    "kk",
+                    int(0),
+                    var("n"),
+                    vec![add_assign(
+                        "acc",
+                        load("a", var("i") * var("n") + var("kk"))
+                            * load("b", var("kk") * var("n") + var("jb")),
+                    )],
+                ),
+                store("c", var("i") * var("n") + var("j"), var("acc")),
+            ]);
+        let n = 70usize;
+        let bufs = mm_buffers(n, Precision::Double, Precision::Double);
+        for (big, off, faults) in [
+            (i64::MAX / 32, 0, true),
+            (1, i64::MAX - 40, true),
+            (-1, n as i64 - 1, false),
+        ] {
+            let launch = Launch::two_d(n, n)
+                .arg_int("n", n as i64)
+                .arg_int("big", big)
+                .arg_int("off", off);
+            assert!(compile_kernel(&k)
+                .unwrap()
+                .plan(&bufs, &launch, 1)
+                .lockstep());
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            let mut got = bufs.clone();
+            let result = compile_kernel(&k).unwrap().run(&mut got, &launch);
+            assert_eq!(result.is_err(), faults, "{result:?}");
+            if !faults {
+                assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), 2 * n as u64);
+            }
         }
     }
 

@@ -7,10 +7,14 @@
 //! Half the kernels store through unclamped affine indices that the
 //! disjoint-access proof can admit, over launches of at least 64 items,
 //! so both non-sequential executors really run; the test counts how often
-//! each does, through the same plan query the executor follows. The
-//! proof's verdict must also survive a random retyping of every kernel's
-//! buffers and a random in-kernel compute map, since compiled precision
-//! variants share their kernel's verdict.
+//! each does, through the same plan query the executor follows. Some of
+//! them accumulate a dot product whose operands are uniform, contiguous,
+//! strided or unevenly spaced across the lanes of a row, so fused
+//! dot-product loops run once per lock-step block too; the executor's own
+//! tally counts those.
+//! The proof's verdict must also survive a random retyping of every
+//! kernel's buffers and a random in-kernel compute map, since compiled
+//! precision variants share their kernel's verdict.
 
 use prescaler_ir::analysis::parallel_safety;
 use prescaler_ir::dsl::*;
@@ -208,6 +212,72 @@ enum Shape {
     /// neighbouring indices, so lanes of one block meet and the proof must
     /// refuse.
     Rounded,
+    /// A dot product into an accumulator at `acc`,
+    /// `acc = acc + x[..]*y[..]` over `trips`, then `c[idx] = acc`; `x`
+    /// and `y` are read-only buffers at their own precisions.
+    Dot {
+        x: (Precision, Operand),
+        y: (Precision, Operand),
+        acc: Precision,
+        trips: Trips,
+    },
+}
+
+/// How a [`Shape::Dot`] operand's index moves across the lanes of a row
+/// (`j`, `i` = gid0, gid1; `k` the counter).
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    /// `i*w + k`: one element for the whole row.
+    Uniform,
+    /// `k*w + j`: consecutive elements.
+    Contiguous,
+    /// `j*w + k`: elements `w` apart.
+    Strided,
+    /// `k*j + i`: one element for the whole row at `k = 0`, then a
+    /// different step per trip in every lane.
+    Skewed,
+    /// `j*j + k`: not evenly spaced across lanes.
+    Square,
+    /// `k*k + j`: not evenly spaced across trips, so the lanes run the
+    /// loop one at a time.
+    Quadratic,
+}
+
+impl Operand {
+    fn index(self) -> Expr {
+        let (a, b, c) = match self {
+            Operand::Uniform => ("i", "w", "k"),
+            Operand::Contiguous => ("k", "w", "j"),
+            Operand::Strided => ("j", "w", "k"),
+            Operand::Skewed => ("k", "j", "i"),
+            Operand::Square => ("j", "j", "k"),
+            Operand::Quadratic => ("k", "k", "j"),
+        };
+        var(a) * var(b) + var(c)
+    }
+}
+
+/// A [`Shape::Dot`] loop's trip count, at most 5.
+#[derive(Clone, Copy, Debug)]
+enum Trips {
+    /// The same constant in every work-item.
+    Fixed(i64),
+    /// `(int) a[j]*2`: lanes of one block disagree, except where the
+    /// clamped index pins them to one element.
+    PerLane,
+    /// `(int) a[i]*2`: data-dependent, but one count per row.
+    PerRow,
+}
+
+impl Trips {
+    fn bound(self) -> Expr {
+        let data = |id: usize| to_int(load("a", clamped(global_id(id))) * flit(2.0));
+        match self {
+            Trips::Fixed(t) => int(t),
+            Trips::PerLane => data(0),
+            Trips::PerRow => data(1),
+        }
+    }
 }
 
 /// An affine-store kernel's parameters.
@@ -235,7 +305,33 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         2 => (1i64..4).prop_map(|trips| Shape::Carried { trips }),
         2 => Just(Shape::DataTrips),
         1 => Just(Shape::Rounded),
+        4 => arb_dot(),
     ]
+}
+
+fn arb_dot() -> impl Strategy<Value = Shape> {
+    let operand = || {
+        let lanes = prop_oneof![
+            4 => Just(Operand::Uniform),
+            4 => Just(Operand::Contiguous),
+            4 => Just(Operand::Strided),
+            1 => Just(Operand::Skewed),
+            1 => Just(Operand::Square),
+            1 => Just(Operand::Quadratic),
+        ];
+        (arb_precision(), lanes)
+    };
+    let trips = prop_oneof![
+        2 => (0i64..5).prop_map(Trips::Fixed),
+        1 => Just(Trips::PerLane),
+        1 => Just(Trips::PerRow),
+    ];
+    (operand(), operand(), arb_precision(), trips).prop_map(|(x, y, acc, trips)| Shape::Dot {
+        x,
+        y,
+        acc,
+        trips,
+    })
 }
 
 fn arb_affine() -> impl Strategy<Value = Affine> {
@@ -267,6 +363,12 @@ impl Affine {
             Some(slack) => (self.c0 * (nx.min(64) as i64 - 1) + slack).max(1),
             None => self.w(nx) * ny as i64 + self.c0 * nx as i64,
         }
+    }
+
+    /// Elements a [`Shape::Dot`] operand buffer needs for an `nx × ny`
+    /// launch: room for every form of index at up to 5 trips.
+    fn dot_len(&self, [nx, ny]: [usize; 2]) -> usize {
+        nx.max(ny).max(5) * (self.w(nx) as usize + nx) + 5
     }
 
     /// Elements `c` needs so every index of an `nx × ny` launch fits.
@@ -353,6 +455,19 @@ fn affine_stmts(aff: &Affine, pc: Precision, vals: Values) -> Vec<Stmt> {
                 store("c", x(), load("c", x()) * flit(0.5) + v),
             ]
         }
+        Shape::Dot { x, y, acc, trips } => vec![
+            let_ty("acc", acc, flit(0.25)),
+            for_(
+                "k",
+                int(0),
+                trips.bound(),
+                vec![add_assign(
+                    "acc",
+                    load("x", x.1.index()) * load("y", y.1.index()),
+                )],
+            ),
+            store("c", idx(), var("acc")),
+        ],
     }
 }
 
@@ -448,11 +563,17 @@ fn arb_affine_case() -> impl Strategy<Value = Case> {
                     Some(m) => body.push(if_(lt(var("j"), var("n") + int(m)), stores)),
                     None => body.extend(stores),
                 }
+                let mut k = kernel("affine")
+                    .buffer("a", pa, Access::Read)
+                    .buffer("b", pb, Access::Read)
+                    .buffer("c", pc, Access::ReadWrite);
+                if let Shape::Dot { x, y, .. } = aff.shape {
+                    k = k
+                        .buffer("x", x.0, Access::Read)
+                        .buffer("y", y.0, Access::Read);
+                }
                 Case {
-                    kernel: kernel("affine")
-                        .buffer("a", pa, Access::Read)
-                        .buffer("b", pb, Access::Read)
-                        .buffer("c", pc, Access::ReadWrite)
+                    kernel: k
                         .int_param("n")
                         .int_param("w")
                         .int_param("s")
@@ -503,6 +624,13 @@ impl Case {
             let p = self.kernel.buffer_elem("c").unwrap();
             let xs = wave(aff.c_len(self.global), f64::sin, 0.13);
             m.insert("c".into(), FloatVec::from_f64_slice(&xs, p));
+            if let Shape::Dot { x, y, .. } = aff.shape {
+                let len = aff.dot_len(self.global);
+                let xs = wave(len, f64::sin, 0.29);
+                let ys = wave(len, f64::cos, 0.53);
+                m.insert("x".into(), FloatVec::from_f64_slice(&xs, x.0));
+                m.insert("y".into(), FloatVec::from_f64_slice(&ys, y.0));
+            }
         }
         m
     }
@@ -527,10 +655,18 @@ fn assert_same_bits(want: &BufferMap, got: &BufferMap, what: &str, k: &Kernel) {
     }
 }
 
-/// Runs one case through every engine and asserts agreement. Returns
-/// whether the launch ran in lock step and whether it ran in chunks (at
-/// 8 threads).
-fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
+/// What one case ran on besides the item-by-item executor.
+struct Engaged {
+    lockstep: bool,
+    /// Chunks at 8 threads.
+    chunked: bool,
+    /// A fused dot-product loop once for a whole lock-step block.
+    lockstep_dot: bool,
+}
+
+/// Runs one case through every engine and asserts agreement, and reports
+/// which executors ran.
+fn check(case: &Case, scratch: &mut VmScratch) -> Engaged {
     let k = &case.kernel;
     check_kernel(k).expect("generated kernels are well-typed");
     let errors: Vec<_> = verify_kernel(k)
@@ -549,6 +685,7 @@ fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
 
     let compiled = compile_kernel(k).expect("well-typed kernels compile");
     let mut got = case.buffers();
+    let dot_loops = scratch.lockstep_dot_loops();
     let seq = compiled.run_with_scratch(&mut got, &launch, scratch);
     assert_eq!(
         seq.as_ref(),
@@ -557,6 +694,7 @@ fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
         kernel_to_string(k)
     );
     assert_same_bits(&want, &got, "vm", k);
+    let lockstep_dot = scratch.lockstep_dot_loops() > dot_loops;
     for threads in [2usize, 8] {
         let mut got = case.buffers();
         let par = compiled.run_parallel(&mut got, &launch, scratch, threads);
@@ -586,7 +724,11 @@ fn check(case: &Case, scratch: &mut VmScratch) -> (bool, bool) {
     assert_same_bits(&want, &again, "reparsed", k);
 
     let plan = compiled.plan(&case.buffers(), &launch, 8);
-    (plan.lockstep(), plan.chunks() > 1)
+    Engaged {
+        lockstep: plan.lockstep(),
+        chunked: plan.chunks() > 1,
+        lockstep_dot,
+    }
 }
 
 /// A random precision for every buffer parameter of `k`.
@@ -628,23 +770,28 @@ fn engines_and_analysis_agree_on_random_kernels() {
     // does not change which kernels the fixed seed generates.
     let mut maps = TestRng::new(TestRng::seed_from_name("differential::precision_maps"));
     let mut scratch = VmScratch::new();
-    let (mut lockstep, mut chunked) = (0usize, 0usize);
+    let (mut lockstep, mut chunked, mut dot) = (0usize, 0usize, 0usize);
     for case_no in 0..CASES {
         let case = strategy.generate(&mut rng);
         let _note = CaseNote(case_no);
         let retype = arb_precision_map(&case.kernel).generate(&mut maps);
         let compute = arb_precision_map(&case.kernel).generate(&mut maps);
         check_verdict_ignores_precisions(&case.kernel, &retype, &compute);
-        let (l, c) = check(&case, &mut scratch);
-        lockstep += usize::from(l);
-        chunked += usize::from(c);
+        let ran = check(&case, &mut scratch);
+        lockstep += usize::from(ran.lockstep);
+        chunked += usize::from(ran.chunked);
+        dot += usize::from(ran.lockstep_dot);
     }
-    println!("lock step ran on {lockstep} and chunks on {chunked} of {CASES} cases");
-    // Both non-sequential executors must really run on a good share of
-    // the cases, or the agreement above says nothing about them.
+    let ran = format!(
+        "lock step ran on {lockstep}, chunks on {chunked} and lock-step dot loops on {dot} \
+         of {CASES} cases"
+    );
+    println!("{ran}");
+    // Every non-sequential executor must really run on a good share of
+    // the cases, or the agreement above says nothing about it.
     assert!(
-        lockstep * 5 >= CASES && chunked * 8 >= CASES,
-        "lock step ran on {lockstep} and chunks on {chunked} of {CASES} cases"
+        lockstep * 5 >= CASES && chunked * 8 >= CASES && dot * 32 >= CASES,
+        "{ran}"
     );
 }
 

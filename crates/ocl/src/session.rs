@@ -380,8 +380,6 @@ impl Session {
             .kernel(name)
             .ok_or_else(|| OclError::UnknownKernel(name.to_owned()))?;
 
-        self.admit(|| format!("launch `{name}`"), FaultPlan::launch_fails)?;
-
         // Resolve bindings.
         let mut buffer_args: Vec<(&str, BufferId)> = Vec::new();
         let mut scalar_args: Vec<(String, ScalarBound)> = Vec::new();
@@ -437,6 +435,10 @@ impl Session {
                 .map(|&(_, id)| self.buffers[id.0].device_precision),
             self.spec.in_kernel.get(name),
         )?;
+
+        // Only a launch that can reach the device meets the fault plan: a
+        // refused one draws no fault and is charged no backoff.
+        self.admit(|| format!("launch `{name}`"), FaultPlan::launch_fails)?;
 
         // Move the bound buffers into a launch map, run, move back.
         let mut map = BufferMap::new();
@@ -767,6 +769,53 @@ mod tests {
         assert_eq!(dev.iter_f64().collect::<Vec<_>>(), xs);
         let back = s.enqueue_read(v).unwrap();
         assert_eq!(back.iter_f64().collect::<Vec<_>>(), xs);
+    }
+
+    #[test]
+    fn refused_launches_draw_no_faults() {
+        // Two sessions on equal seeded plans with launch failures. One
+        // first attempts three launches that never reach the device; then
+        // both make the same valid launches, which must meet the same
+        // faults and pay the same backoff.
+        let run = |refused: bool| {
+            let system =
+                SystemModel::system1().with_faults(FaultPlan::seeded(11).with_launch_failures(0.5));
+            let mut s = Session::new(system, vec_scale_program(), ScalingSpec::baseline());
+            let n = 16usize;
+            let x = s.create_buffer("X", n, Precision::Double).unwrap();
+            let y = s.create_buffer("Y", n, Precision::Double).unwrap();
+            let args = |x, y| {
+                [
+                    ("x", KernelArg::Buffer(x)),
+                    ("y", KernelArg::Buffer(y)),
+                    ("a", KernelArg::Float(3.0)),
+                    ("n", KernelArg::Int(n as i64)),
+                ]
+            };
+            if refused {
+                let unbound = s.launch_kernel("vscale", [n, 1], &args(x, y)[..3]);
+                assert!(matches!(unbound, Err(OclError::UnboundParam { .. })));
+                let foreign = s.launch_kernel("vscale", [n, 1], &args(x, BufferId(7)));
+                assert!(
+                    matches!(foreign, Err(OclError::InvalidBuffer(_))),
+                    "{foreign:?}"
+                );
+                let aliased = s.launch_kernel("vscale", [n, 1], &args(x, x));
+                assert!(matches!(aliased, Err(OclError::AliasedBuffer { .. })));
+            }
+            let outcomes: Vec<_> = (0..8)
+                .map(|_| s.launch_kernel("vscale", [n, 1], &args(x, y)))
+                .collect();
+            (outcomes, s.into_log())
+        };
+        let (clean, clean_log) = run(false);
+        let (after_refusals, log) = run(true);
+        assert!(
+            clean_log.timeline.fault_overhead > SimTime::ZERO,
+            "the plan must fault some launches"
+        );
+        assert_eq!(after_refusals, clean);
+        assert_eq!(log, clean_log);
     }
 
     #[test]

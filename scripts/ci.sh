@@ -40,10 +40,9 @@ cargo run --release --offline --bin prescaler-verify
 # parallel-execution, static-analysis and trial-engine property suites
 # replayed under fixed seeds, so every CI run explores the same three
 # fault universes deterministically (the suites mix the seed into their
-# generated fault plans via PRESCALER_FAULT_SEED). The pipeline suite runs
-# in the loop too but reads no seed, so its three rows are one run. The
-# crash-resume suite kills a durable tune at every trial boundary — under
-# clean, torn-tail, and garbage-tail shutdowns — and requires the resumed
+# generated fault plans via PRESCALER_FAULT_SEED). The crash-resume suite
+# kills a durable tune at every trial boundary — under clean, torn-tail,
+# and garbage-tail shutdowns — and requires the resumed
 # result to be bit-identical with zero journaled trials re-executed. The
 # drift suite throttles, starves, and unplugs the serving system and
 # requires TOQ-or-fallback serving, typed device-loss errors,
@@ -61,7 +60,7 @@ cargo run --release --offline --bin prescaler-verify
 for seed in 1 2 3; do
     PRESCALER_FAULT_SEED=$seed \
         cargo test -q --offline \
-        --test guard_properties --test pipeline_properties \
+        --test guard_properties \
         --test crash_resume_properties --test drift_properties \
         --test serve_properties --test parallel_exec_properties \
         --test static_analysis_properties --test trial_engine_equivalence
