@@ -209,7 +209,7 @@ pub fn run_kernel(
                     (ScalarType::Float(p), ArgValue::Float(v)) => Scalar::float(v, p),
                     // Binding an int literal to a float param is a common
                     // host idiom; accept it with one conversion.
-                    (ScalarType::Float(p), ArgValue::Int(v)) => Scalar::float(v as f64, p),
+                    (ScalarType::Float(p), ArgValue::Int(v)) => Scalar::Int(v).cast_float(p),
                     _ => return Err(ExecError::ArgKindMismatch(name.clone())),
                 };
                 scalars.insert(name.as_str(), value);
@@ -310,11 +310,15 @@ impl<'a> Interp<'a> {
                     ExecError::KindError(format!("index into `{buf}` must be an integer"))
                 })?;
                 let v = self.eval(value, Some(elem))?;
-                let stored = v.try_f64().ok_or_else(|| {
-                    ExecError::KindError(format!("cannot store a boolean into `{buf}`"))
-                })?;
+                if matches!(v, Scalar::Bool(_)) {
+                    return Err(ExecError::KindError(format!(
+                        "cannot store a boolean into `{buf}`"
+                    )));
+                }
                 // The implicit store conversion is a real convert
-                // instruction; the buffer rounds the value itself.
+                // instruction, rounding once to the element type (an
+                // integer converts there directly).
+                let stored = v.cast_float(elem).as_f64();
                 self.counts
                     .count_convert(v.scalar_type(), ScalarType::Float(elem));
                 let arr = self

@@ -76,17 +76,6 @@ impl Scalar {
         }
     }
 
-    /// Numeric view, or `None` for booleans — the non-panicking twin of
-    /// [`Scalar::as_f64`] for callers that must degrade on malformed
-    /// kernels instead of aborting.
-    #[must_use]
-    pub fn try_f64(&self) -> Option<f64> {
-        match self {
-            Scalar::Bool(_) => None,
-            other => Some(other.as_f64()),
-        }
-    }
-
     /// Integer view, or `None` unless the value is `Int`.
     #[must_use]
     pub fn try_int(&self) -> Option<i64> {
@@ -106,10 +95,21 @@ impl Scalar {
     }
 
     /// Converts to the given float precision with a single rounding, as an
-    /// explicit `convert_<type>()` OpenCL call or C cast would.
+    /// explicit `convert_<type>()` OpenCL call or C cast would. An integer
+    /// converts directly, not through `f64`, which would round a binary32
+    /// result twice beyond 2^53.
     #[must_use]
     pub fn cast_float(&self, p: Precision) -> Scalar {
-        Scalar::float(self.as_f64(), p)
+        Scalar::float(self.operand(p), p)
+    }
+
+    /// The value as an operand of float arithmetic at precision `p`: a
+    /// float exactly, an integer rounded once to `p`.
+    fn operand(&self, p: Precision) -> f64 {
+        match self {
+            Scalar::Int(x) => int_to_float(*x, p),
+            other => other.as_f64(),
+        }
     }
 
     /// The precision this value computes in, if it is a float.
@@ -130,18 +130,13 @@ impl Scalar {
                 // catches; default to double for robustness.
                 let p =
                     Precision::promote(a.precision(), b.precision()).unwrap_or(Precision::Double);
+                let (x, y) = (a.operand(p), b.operand(p));
                 match p {
                     Precision::Half => {
-                        let x = F16::from_f64(a.as_f64());
-                        let y = F16::from_f64(b.as_f64());
-                        Scalar::F16(op.apply_f16(x, y))
+                        Scalar::F16(op.apply_f16(F16::from_f64(x), F16::from_f64(y)))
                     }
-                    Precision::Single => {
-                        let x = a.as_f64() as f32;
-                        let y = b.as_f64() as f32;
-                        Scalar::F32(op.apply_f32(x, y))
-                    }
-                    Precision::Double => Scalar::F64(op.apply_f64(a.as_f64(), b.as_f64())),
+                    Precision::Single => Scalar::F32(op.apply_f32(x as f32, y as f32)),
+                    Precision::Double => Scalar::F64(op.apply_f64(x, y)),
                 }
             }
         }
@@ -157,6 +152,21 @@ impl fmt::Display for Scalar {
             Scalar::Int(x) => write!(f, "{x}"),
             Scalar::Bool(x) => write!(f, "{x}"),
         }
+    }
+}
+
+/// Integer `v` converted to precision `p` with one rounding, returned as
+/// the exact `f64` of the result: the int → float rule of both engines,
+/// for a cast, an integer operand of float arithmetic, an integer stored
+/// to a buffer and an integer argument bound to a float parameter.
+/// Widening to `f64` first is exact only up to 2^53, so beyond it a
+/// binary32 result would round twice; binary16 overflows there either way.
+#[inline(always)]
+pub(crate) fn int_to_float(v: i64, p: Precision) -> f64 {
+    match p {
+        Precision::Half => F16::round_f64(v as f64),
+        Precision::Single => f64::from(v as f32),
+        Precision::Double => v as f64,
     }
 }
 

@@ -28,13 +28,20 @@
 //! element bits and replays item by item, which reproduces the sequential
 //! error and partial writes.
 //!
+//! A block resolves each float op's precision and operator once per
+//! dispatch, never per lane: every lane loop is one generic loop
+//! instantiated per precision, or tuple of precisions (a `Prec` marker
+//! type each), and per operator. A dot loop picks the lane loop of its
+//! product, sum and conversion precisions once per loop, and so does the
+//! trip loop a work-item runs alone.
+//!
 //! Three implementation points matter for the equivalence:
 //!
 //! * Float registers, in every lane, hold `f64` values that are always
 //!   exactly representable at the operand's static precision (integer
 //!   operands of float arithmetic are converted at the operation's
-//!   precision), so computing a binary16/32 operation by rounding the
-//!   `f64` inputs is exact. For binary16 `+ - * /` the `f64` result of two
+//!   precision with one rounding), so computing a binary16/32 operation
+//!   by rounding the `f64` inputs is exact. For binary16 `+ - * /` the `f64` result of two
 //!   binary16 operands is exact (`+ - *`) or correctly rounded with
 //!   53 ≥ 2·11+2 bits (`/`), so one rounding to binary16 gives the
 //!   correctly rounded result; NaN results take the `F16` operators so
@@ -61,7 +68,7 @@ use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt};
 use crate::counts::OpCounts;
 use crate::interp::{resolve, select_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
-use crate::value::{nan_rule_f64, CmpOp, FloatBinOp, UnaryFn};
+use crate::value::{int_to_float, CmpOp, FloatBinOp, Scalar, UnaryFn};
 use prescaler_fp16::F16;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -125,7 +132,7 @@ enum Op {
     },
     /// Round to a (different) float precision.
     Cvt { prec: Precision, dst: FReg, a: FReg },
-    /// Exact i64 → f64, then round to the precision.
+    /// i64 → float of the precision, rounded once.
     IToF { prec: Precision, dst: FReg, a: IReg },
     /// Truncating f64 → i64 (C cast semantics).
     FToI { dst: IReg, a: FReg },
@@ -645,18 +652,14 @@ impl<'k> Compiler<'k> {
                 }
                 // The implicit store conversion is a real convert
                 // instruction. `Store` rounds a float to the element type
-                // itself; an integer widens to double first, as the
-                // interpreter's does.
+                // itself; an integer converts to the element type first,
+                // rounding once, as the interpreter's does.
                 self.pending.count_convert(vt, ScalarType::Float(elem));
                 let src = match v {
                     Val::F(r) => r,
                     Val::I(a) => {
                         let dst = self.alloc_f();
-                        self.ops.push(Op::IToF {
-                            prec: Precision::Double,
-                            dst,
-                            a,
-                        });
+                        self.ops.push(Op::IToF { prec: elem, dst, a });
                         dst
                     }
                 };
@@ -1469,61 +1472,151 @@ fn promote(a: ScalarType, b: ScalarType) -> Precision {
     Precision::promote(a.precision(), b.precision()).unwrap_or(Precision::Double)
 }
 
-/// Rounds an exact f64 representation to a precision.
-#[inline]
-fn round_to(p: Precision, v: f64) -> f64 {
-    match p {
-        Precision::Half => F16::round_f64(v),
-        Precision::Single => f64::from(v as f32),
-        Precision::Double => v,
+/// A float precision as a type. The lock-step lane loops are generic over
+/// it, so each precision, or tuple of precisions, of an op has a loop of
+/// its own, chosen once per dispatch. The item-by-item executor reaches
+/// the same arithmetic through [`round_to`], [`apply_fbin`] and
+/// [`apply_fun`], which dispatch on the precision per call.
+trait Prec {
+    /// The precision.
+    const PREC: Precision;
+
+    /// `v`, exact in `f64`, rounded to this precision.
+    fn round(v: f64) -> f64;
+
+    /// `x op y` on operands exact at this precision, under the both-NaN
+    /// rule: a value exact at this precision.
+    fn bin(op: FloatBinOp, x: f64, y: f64) -> f64;
+
+    /// `op(x)`, through the interpreter's definition of the function.
+    #[inline(always)]
+    fn un(op: UnaryFn, x: f64) -> f64 {
+        op.apply(Scalar::float(x, Self::PREC)).as_f64()
+    }
+
+    /// Integer `v` rounded once to this precision ([`int_to_float`]).
+    #[inline(always)]
+    fn from_int(v: i64) -> f64 {
+        int_to_float(v, Self::PREC)
     }
 }
 
-#[inline]
-fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
-    match p {
-        Precision::Double => op.apply_f64(a, b),
-        Precision::Single => f64::from(op.apply_f32(a as f32, b as f32)),
-        // Operands are exact binary16 values: one rounding of the f64
-        // result is the correctly rounded binary16 result (module docs).
-        // `min`/`max`, and NaN results (whose payload f64 arithmetic
-        // leaves unspecified), take the widening `F16` operators.
-        Precision::Half => {
-            let f16 = || op.apply_f16(F16::from_f64(a), F16::from_f64(b)).to_f64();
-            match op {
-                FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Mul | FloatBinOp::Div => {
-                    let v = op.apply_f64(a, b);
-                    if v.is_nan() {
-                        f16()
-                    } else {
-                        F16::round_f64(v)
-                    }
+/// Binary16, as a [`Prec`].
+struct Bin16;
+/// Binary32, as a [`Prec`].
+struct Bin32;
+/// Binary64, as a [`Prec`].
+struct Bin64;
+
+impl Prec for Bin16 {
+    const PREC: Precision = Precision::Half;
+
+    #[inline(always)]
+    fn round(v: f64) -> f64 {
+        F16::round_f64(v)
+    }
+
+    /// Operands are exact binary16 values: one rounding of the f64 result
+    /// is the correctly rounded binary16 result (module docs). `min`/`max`,
+    /// and NaN results (whose payload f64 arithmetic leaves unspecified),
+    /// take the widening `F16` operators.
+    #[inline(always)]
+    fn bin(op: FloatBinOp, x: f64, y: f64) -> f64 {
+        let f16 = || op.apply_f16(F16::from_f64(x), F16::from_f64(y)).to_f64();
+        match op {
+            FloatBinOp::Add | FloatBinOp::Sub | FloatBinOp::Mul | FloatBinOp::Div => {
+                let v = op.apply_f64(x, y);
+                if v.is_nan() {
+                    f16()
+                } else {
+                    F16::round_f64(v)
                 }
-                FloatBinOp::Min | FloatBinOp::Max => f16(),
             }
+            FloatBinOp::Min | FloatBinOp::Max => f16(),
         }
     }
 }
 
-/// `acc + x·y` in binary64, rounding the product and then the sum (not
-/// a fused multiply-add), each under the both-NaN rule.
-#[inline(always)]
-fn mul_add_f64(acc: f64, x: f64, y: f64) -> f64 {
-    let m = nan_rule_f64(x, y, x * y);
-    nan_rule_f64(acc, m, acc + m)
+impl Prec for Bin32 {
+    const PREC: Precision = Precision::Single;
+
+    #[inline(always)]
+    fn round(v: f64) -> f64 {
+        f64::from(v as f32)
+    }
+
+    #[inline(always)]
+    fn bin(op: FloatBinOp, x: f64, y: f64) -> f64 {
+        f64::from(op.apply_f32(x as f32, y as f32))
+    }
+}
+
+impl Prec for Bin64 {
+    const PREC: Precision = Precision::Double;
+
+    #[inline(always)]
+    fn round(v: f64) -> f64 {
+        v
+    }
+
+    #[inline(always)]
+    fn bin(op: FloatBinOp, x: f64, y: f64) -> f64 {
+        op.apply_f64(x, y)
+    }
+}
+
+/// Evaluates `$body` with `$P` naming the [`Prec`] of precision `$p`.
+macro_rules! with_prec {
+    ($p:expr, |$P:ident| $body:expr) => {
+        match $p {
+            Precision::Half => {
+                type $P = Bin16;
+                $body
+            }
+            Precision::Single => {
+                type $P = Bin32;
+                $body
+            }
+            Precision::Double => {
+                type $P = Bin64;
+                $body
+            }
+        }
+    };
+}
+
+/// Evaluates `$body` with `$M`, `$A` and `$Q` naming the [`Prec`]s of a
+/// dot step's product, sum and conversion.
+macro_rules! with_step_precs {
+    ($d:expr, |$M:ident, $A:ident, $Q:ident| $body:expr) => {
+        with_prec!($d.pm, |$M| with_prec!($d.pa, |$A| with_prec!(
+            $d.post,
+            |$Q| $body
+        )))
+    };
+}
+
+/// Rounds an exact f64 representation to a precision.
+#[inline]
+fn round_to(p: Precision, v: f64) -> f64 {
+    with_prec!(p, |P| P::round(v))
+}
+
+#[inline]
+fn apply_fbin(p: Precision, op: FloatBinOp, a: f64, b: f64) -> f64 {
+    with_prec!(p, |P| P::bin(op, a, b))
 }
 
 #[inline]
 fn apply_fun(p: Precision, op: UnaryFn, a: f64) -> f64 {
-    use crate::value::Scalar;
-    // Route through the reference implementation to guarantee identical
-    // semantics (precision-faithful special functions).
-    let s = match p {
-        Precision::Half => Scalar::F16(F16::from_f64(a)),
-        Precision::Single => Scalar::F32(a as f32),
-        Precision::Double => Scalar::F64(a),
-    };
-    op.apply(s).as_f64()
+    with_prec!(p, |P| P::un(op, a))
+}
+
+/// `post(acc + x·y)`, the product rounded at `M`, the sum at `A` and the
+/// conversion at `Q`: the arithmetic of a dot step.
+#[inline(always)]
+fn rounded_step<M: Prec, A: Prec, Q: Prec>(acc: f64, x: f64, y: f64) -> f64 {
+    Q::round(A::bin(FloatBinOp::Add, acc, M::bin(FloatBinOp::Mul, x, y)))
 }
 
 /// Runs `$body` for each lane `$l` of a [`Sel`], lowest lane first;
@@ -1856,7 +1949,7 @@ impl CompiledKernel {
                     slot,
                 } => match args[*slot as usize] {
                     Some(ArgValue::Float(v)) => fregs[*reg as usize] = round_to(*prec, v),
-                    Some(ArgValue::Int(v)) => fregs[*reg as usize] = round_to(*prec, v as f64),
+                    Some(ArgValue::Int(v)) => fregs[*reg as usize] = int_to_float(v, *prec),
                     None => {
                         restore(buffers, bufs);
                         return Err(ExecError::MissingArg(name.clone()));
@@ -2185,31 +2278,20 @@ impl CompiledKernel {
                     a,
                     b,
                 } => {
-                    match (prec, op) {
-                        (Precision::Double, FloatBinOp::Add) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x + y));
-                        }
-                        (Precision::Double, FloatBinOp::Sub) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x - y));
-                        }
-                        (Precision::Double, FloatBinOp::Mul) => {
-                            lanes2(fr, alu, dst, a, b, |x, y| nan_rule_f64(x, y, x * y));
-                        }
-                        _ => lanes2(fr, alu, dst, a, b, |x, y| apply_fbin(prec, op, x, y)),
-                    }
+                    with_prec!(prec, |P| fbin_lanes::<P>(op, fr, alu, [dst, a, b]));
                     Flow::Next
                 }
                 Op::FUn { prec, op, dst, a } => {
-                    lanes1(fr, alu, dst, a, |v| apply_fun(prec, op, v));
+                    with_prec!(prec, |P| fun_lanes::<P>(op, fr, alu, [dst, a]));
                     Flow::Next
                 }
                 Op::Cvt { prec, dst, a } => {
-                    lanes1(fr, alu, dst, a, |v| round_to(prec, v));
+                    with_prec!(prec, |P| cvt_lanes::<P>(fr, alu, [dst, a]));
                     Flow::Next
                 }
                 Op::IToF { prec, dst, a } => {
-                    let (d, a) = (dst as usize, &ir[a as usize]);
-                    each_lane!(alu, |l| fr[d][l] = round_to(prec, a[l] as f64));
+                    let (d, a) = (&mut fr[dst as usize], &ir[a as usize]);
+                    with_prec!(prec, |P| itof_lanes::<P>(a, d, alu));
                     Flow::Next
                 }
                 Op::FToI { dst, a } => {
@@ -2281,24 +2363,15 @@ impl CompiledKernel {
                     a,
                     b,
                 } => {
-                    let (d, acc, a, b) = (dst as usize, acc as usize, a as usize, b as usize);
-                    if (pm, pa) == (Precision::Double, Precision::Double) {
-                        each_lane!(alu, |l| fr[d][l] =
-                            mul_add_f64(fr[acc][l], fr[a][l], fr[b][l]));
-                    } else {
-                        each_lane!(alu, |l| {
-                            let m = apply_fbin(pm, FloatBinOp::Mul, fr[a][l], fr[b][l]);
-                            fr[d][l] = apply_fbin(pa, FloatBinOp::Add, fr[acc][l], m);
-                        });
-                    }
+                    with_prec!(pm, |M| with_prec!(pa, |A| mul_acc_lanes::<M, A>(
+                        fr,
+                        alu,
+                        [dst, acc, a, b]
+                    )));
                     Flow::Next
                 }
                 Op::DotStep { idx } => {
-                    let d = &self.dot_table[idx as usize];
-                    each_lane!(fx, |l| {
-                        let acc = fr[d.acc as usize][l];
-                        fr[d.dst as usize][l] = dot_step(d, |r| ir[r as usize][l], acc, mem)?;
-                    });
+                    dot_step_lanes(&self.dot_table[idx as usize], ir, fr, ix, mem, fx)?;
                     Flow::Next
                 }
                 Op::CountAddJump {
@@ -2452,7 +2525,7 @@ impl CompiledKernel {
                             fregs[dst as usize] = round_to(prec, fregs[a as usize]);
                         }
                         Op::IToF { prec, dst, a } => {
-                            fregs[dst as usize] = round_to(prec, iregs[a as usize] as f64);
+                            fregs[dst as usize] = int_to_float(iregs[a as usize], prec);
                         }
                         Op::FToI { dst, a } => {
                             iregs[dst as usize] = fregs[a as usize].trunc() as i64;
@@ -2659,6 +2732,85 @@ fn lanes2<T: Copy>(r: &mut [[T; BLOCK]], sel: Sel, d: u32, a: u32, b: u32, f: im
     each_lane!(sel, |l| r[d][l] = f(r[a][l], r[b][l]));
 }
 
+/// `r[d] = r[a] op r[b]` at precision `P` over the lanes of `sel`, with a
+/// lane loop of its own per operator.
+#[inline(never)]
+fn fbin_lanes<P: Prec>(op: FloatBinOp, r: &mut [[f64; BLOCK]], sel: Sel, [d, a, b]: [FReg; 3]) {
+    macro_rules! by_op {
+        ($($o:ident)*) => {
+            match op {
+                $(FloatBinOp::$o => lanes2(r, sel, d, a, b, |x, y| P::bin(FloatBinOp::$o, x, y)),)*
+            }
+        };
+    }
+    by_op!(Add Sub Mul Div Min Max);
+}
+
+/// `r[d] = op(r[a])` at precision `P` over the lanes of `sel`, with a lane
+/// loop of its own per function.
+#[inline(never)]
+fn fun_lanes<P: Prec>(op: UnaryFn, r: &mut [[f64; BLOCK]], sel: Sel, [d, a]: [FReg; 2]) {
+    macro_rules! by_op {
+        ($($o:ident)*) => {
+            match op {
+                $(UnaryFn::$o => lanes1(r, sel, d, a, |x| P::un(UnaryFn::$o, x)),)*
+            }
+        };
+    }
+    by_op!(Neg Fabs Sqrt Exp Log);
+}
+
+/// `r[d]` = `r[a]` rounded to precision `P` over the lanes of `sel`.
+#[inline(never)]
+fn cvt_lanes<P: Prec>(r: &mut [[f64; BLOCK]], sel: Sel, [d, a]: [FReg; 2]) {
+    lanes1(r, sel, d, a, P::round);
+}
+
+/// `dst[l]` = integer `src[l]` rounded once to precision `P`, over the
+/// lanes of `sel`.
+#[inline(never)]
+fn itof_lanes<P: Prec>(src: &[i64; BLOCK], dst: &mut [f64; BLOCK], sel: Sel) {
+    each_lane!(sel, |l| dst[l] = P::from_int(src[l]));
+}
+
+/// `r[d] = r[acc] + r[a]·r[b]` over the lanes of `sel`, the product
+/// rounded at `M` and the sum at `A`.
+#[inline(never)]
+fn mul_acc_lanes<M: Prec, A: Prec>(r: &mut [[f64; BLOCK]], sel: Sel, [d, acc, a, b]: [FReg; 4]) {
+    let (d, acc, a, b) = (d as usize, acc as usize, a as usize, b as usize);
+    each_lane!(sel, |l| {
+        let m = M::bin(FloatBinOp::Mul, r[a][l], r[b][l]);
+        r[d][l] = A::bin(FloatBinOp::Add, r[acc][l], m);
+    });
+}
+
+/// A fused [`Op::DotStep`] for the lanes of `sel`: both operands gathered
+/// over the lanes (each index bounds-checked), then the step's lane loop
+/// at its precisions. An out-of-bounds read is an error before any
+/// register is written, after which the block replays item by item.
+#[inline(never)]
+fn dot_step_lanes(
+    d: &DotStepArgs,
+    ir: &[[i64; BLOCK]],
+    fr: &mut [[f64; BLOCK]],
+    ix: &mut [i64; BLOCK],
+    mem: &Mem<'_>,
+    sel: Sel,
+) -> Result<(), ExecError> {
+    let mut vals = [[0.0; BLOCK]; 2];
+    let operands = [(d.buf1, [d.a1, d.b1, d.c1]), (d.buf2, [d.a2, d.b2, d.c2])];
+    for ((buf, [a, b, c]), v) in operands.into_iter().zip(&mut vals) {
+        let (a, b, c) = (&ir[a as usize], &ir[b as usize], &ir[c as usize]);
+        each_lane!(sel, |l| ix[l] = a[l].wrapping_mul(b[l]).wrapping_add(c[l]));
+        mem.load_lanes(buf, ix, v, sel)?;
+    }
+    let mut sum = fr[d.acc as usize];
+    d.step_lanes()(&mut sum, &vals, sel);
+    let dst = &mut fr[d.dst as usize];
+    each_lane!(sel, |l| dst[l] = sum[l]);
+    Ok(())
+}
+
 /// One dot-product step: both indexed loads (bounds-checked, in operand
 /// order), the product rounded at `pm`, its sum with `acc` at `pa`, then
 /// converted to `post`. `reg` reads an integer register.
@@ -2673,7 +2825,8 @@ fn dot_step(
     let v1 = mem.load(d.buf1, i1)?;
     let i2 = reg(d.a2).wrapping_mul(reg(d.b2)).wrapping_add(reg(d.c2));
     let v2 = mem.load(d.buf2, i2)?;
-    Ok(rounded_step(d.pm, d.pa, d.post, acc, v1, v2))
+    let m = apply_fbin(d.pm, FloatBinOp::Mul, v1, v2);
+    Ok(round_to(d.post, apply_fbin(d.pa, FloatBinOp::Add, acc, m)))
 }
 
 /// Runs a fused dot-product loop to its exit from accumulator `acc` and
@@ -2681,20 +2834,33 @@ fn dot_step(
 /// iteration is the unfused compare, [`dot_step`] and back-edge: the same
 /// loads and bounds checks, the same roundings, the same wrapping
 /// increment. Only the counter and the accumulator change inside the
-/// loop, so they live in locals and every other register is read once.
+/// loop, so they live in locals and every other register is read once,
+/// here; the trips run in [`item_trips`] at the step's precisions.
 #[inline(always)]
 fn dot_loop(
     l: &DotLoopArgs,
     reg: impl Fn(IReg) -> i64,
+    acc: f64,
+    mem: &Mem<'_>,
+) -> Result<(i64, f64, u64), ExecError> {
+    let d = &l.step;
+    // An index operand is the counter itself or a loop invariant.
+    let operand = |r: IReg| (r == l.var, reg(r));
+    let indices = [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2].map(operand);
+    d.item_trips()(l, (reg(l.var), reg(l.end)), indices, acc, mem)
+}
+
+/// The trips of [`dot_loop`] from counter `k` to bound `end`, the step's
+/// precisions `M`, `A` and `Q` fixed.
+#[inline(never)]
+fn item_trips<M: Prec, A: Prec, Q: Prec>(
+    l: &DotLoopArgs,
+    (mut k, end): (i64, i64),
+    [a1, b1, c1, a2, b2, c2]: [(bool, i64); 6],
     mut acc: f64,
     mem: &Mem<'_>,
 ) -> Result<(i64, f64, u64), ExecError> {
     let d = &l.step;
-    let mut k = reg(l.var);
-    let end = reg(l.end);
-    // An index operand is the counter itself or a loop invariant.
-    let operand = |r: IReg| (r == l.var, reg(r));
-    let [a1, b1, c1, a2, b2, c2] = [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2].map(operand);
     let at = |(is_var, v): (bool, i64), k: i64| if is_var { k } else { v };
     let mut trips = 0;
     while l.op.holds(k, end) {
@@ -2702,11 +2868,35 @@ fn dot_loop(
         let v1 = mem.load(d.buf1, i1)?;
         let i2 = at(a2, k).wrapping_mul(at(b2, k)).wrapping_add(at(c2, k));
         let v2 = mem.load(d.buf2, i2)?;
-        acc = rounded_step(d.pm, d.pa, d.post, acc, v1, v2);
+        acc = rounded_step::<M, A, Q>(acc, v1, v2);
         trips += 1;
         k = k.wrapping_add(i64::from(l.imm));
     }
     Ok((k, acc, trips))
+}
+
+/// [`item_trips`] at some precisions.
+type ItemTrips = fn(
+    &DotLoopArgs,
+    (i64, i64),
+    [(bool, i64); 6],
+    f64,
+    &Mem<'_>,
+) -> Result<(i64, f64, u64), ExecError>;
+
+/// [`step_lanes`] at some precisions.
+type StepLanes = fn(&mut [f64; BLOCK], &[[f64; BLOCK]; 2], Sel);
+
+impl DotStepArgs {
+    /// The per-item trip loop at this step's precisions.
+    fn item_trips(&self) -> ItemTrips {
+        with_step_precs!(self, |M, A, Q| item_trips::<M, A, Q> as ItemTrips)
+    }
+
+    /// The lane loop of one trip at this step's precisions.
+    fn step_lanes(&self) -> StepLanes {
+        with_step_precs!(self, |M, A, Q| step_lanes::<M, A, Q> as StepLanes)
+    }
 }
 
 /// A fused dot loop that runs once for all the lanes of a block: the
@@ -2791,6 +2981,7 @@ fn dot_trips<T1: Elem, T2: Elem>(
     acc: &mut [f64; BLOCK],
     sel: Sel,
 ) -> Result<(i64, u64), ExecError> {
+    let step = lp.step.step_lanes();
     let mut vals = [[0.0; BLOCK]; 2];
     let [r1, r2] = &mut lanes.operands;
     let mut k = lanes.k;
@@ -2798,29 +2989,27 @@ fn dot_trips<T1: Elem, T2: Elem>(
     while lp.op.holds(k, lanes.end) {
         w1.trip_reads(r1, &mut vals[0], sel)?;
         w2.trip_reads(r2, &mut vals[1], sel)?;
-        step_lanes(&lp.step, acc, &vals, sel);
+        step(acc, &vals, sel);
         trips += 1;
         k = k.wrapping_add(i64::from(lp.imm));
     }
     Ok((k, trips))
 }
 
-/// One trip's arithmetic of a lock-step dot loop: lane `l` of `sel` adds
-/// `v1[l]·v2[l]` to `acc[l]` with the roundings of [`dot_step`]. Kept out
-/// of line, the lane loop exists once, not once per pair of element
-/// types.
+/// One trip's arithmetic of a lock-step dot loop, or a lock-step
+/// [`Op::DotStep`]: lane `l` of `sel` adds `v1[l]·v2[l]` to `acc[l]` with
+/// the roundings of [`dot_step`], its precisions `M`, `A` and `Q` fixed,
+/// so a loop picks its lane loop once ([`DotStepArgs::step_lanes`]), not
+/// a precision per lane. Kept out of line, each exists once, not once per
+/// pair of element types.
 #[inline(never)]
-fn step_lanes(d: &DotStepArgs, acc: &mut [f64; BLOCK], [v1, v2]: &[[f64; BLOCK]; 2], sel: Sel) {
-    each_lane!(sel, |l| {
-        acc[l] = rounded_step(d.pm, d.pa, d.post, acc[l], v1[l], v2[l]);
-    });
-}
-
-/// `post(acc + pm(x·y))` rounded at `pa`: the arithmetic of a dot step.
-#[inline(always)]
-fn rounded_step(pm: Precision, pa: Precision, post: Precision, acc: f64, x: f64, y: f64) -> f64 {
-    let m = apply_fbin(pm, FloatBinOp::Mul, x, y);
-    round_to(post, apply_fbin(pa, FloatBinOp::Add, acc, m))
+fn step_lanes<M: Prec, A: Prec, Q: Prec>(
+    acc: &mut [f64; BLOCK],
+    [v1, v2]: &[[f64; BLOCK]; 2],
+    sel: Sel,
+) {
+    each_lane!(sel, |l| acc[l] =
+        rounded_step::<M, A, Q>(acc[l], v1[l], v2[l]));
 }
 
 /// An element type of a [`FloatVec`].
@@ -3866,6 +4055,336 @@ mod tests {
         }
     }
 
+    /// Special operands, as raw bits at precision `p`: NaNs of both signs,
+    /// quiet and signalling, with payloads; ±0 and ±∞; binary16's
+    /// subnormals and largest finite value; 65520, the midpoint that
+    /// rounds to binary16's ∞; and operands whose sums or products are
+    /// rounding ties at one precision or another.
+    fn special_bits(p: Precision) -> Vec<u64> {
+        let finite = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            -1.0,
+            2.0,
+            3.0,
+            0.5,
+            0.1,
+            1.0 / 3.0,
+            65504.0,
+            65520.0,
+            -65520.0,
+            2f64.powi(-24),
+            -2f64.powi(-24),
+            1023.0 * 2f64.powi(-24),
+            2f64.powi(-14),
+            2f64.powi(-11),
+            3.0 * 2f64.powi(-11),
+            2f64.powi(-25),
+            1.0 + 2f64.powi(-10),
+            2049.0,
+            16_777_217.0,
+            1e10,
+            -1e-10,
+            1e300,
+        ];
+        let nans: [u64; 4] = match p {
+            Precision::Half => [0x7E01, 0xFE02, 0x7C03, 0xFC04],
+            Precision::Single => [0x7FC0_0001, 0xFFC0_0002, 0x7F80_0003, 0xFF80_0004],
+            Precision::Double => [
+                0x7FF8_0000_0000_0001,
+                0xFFF8_0000_0000_0002,
+                0x7FF0_0000_0000_0003,
+                0xFFF0_0000_0000_0004,
+            ],
+        };
+        let at_p = bits(&FloatVec::from_f64_slice(&finite, p));
+        at_p.into_iter().chain(nans).collect()
+    }
+
+    /// A buffer of precision `p` holding raw bit patterns.
+    fn from_bits(p: Precision, bits: &[u64]) -> FloatVec {
+        match p {
+            Precision::Half => {
+                FloatVec::F16(bits.iter().map(|&b| F16::from_bits(b as u16)).collect())
+            }
+            Precision::Single => {
+                FloatVec::F32(bits.iter().map(|&b| f32::from_bits(b as u32)).collect())
+            }
+            Precision::Double => FloatVec::F64(bits.iter().map(|&b| f64::from_bits(b)).collect()),
+        }
+    }
+
+    /// The (precision, operator) lane loops a compiled kernel dispatches:
+    /// `FBin`, `FUn`, `Cvt` and `IToF` as `(op name, precision)`, and
+    /// `FMulAcc` as `("fmulacc", product precision)` with its sum
+    /// precision in the name.
+    fn lane_loops(compiled: &CompiledKernel) -> Vec<String> {
+        compiled
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::FBin { prec, op, .. } => Some(format!("{op:?} {prec:?}")),
+                Op::FUn { prec, op, .. } => Some(format!("{op:?} {prec:?}")),
+                Op::Cvt { prec, .. } => Some(format!("Cvt {prec:?}")),
+                Op::IToF { prec, .. } => Some(format!("IToF {prec:?}")),
+                Op::FMulAcc { pm, pa, .. } => Some(format!("FMulAcc {pm:?} {pa:?}")),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn special_values_match_the_interpreter_in_every_lane_loop() {
+        // For each precision `p`, one kernel runs every operator of `FBin`
+        // and `FUn` at `p` on pairs of special operands, converts them to
+        // the other precisions (`Cvt`), converts integers to `p` (`IToF`)
+        // and accumulates products at `p` into sums at `p` and wider
+        // (`FMulAcc`), in 8-wide rows item by item and in 70-wide rows in
+        // lock step. Each result is stored exactly, widened to a binary64
+        // buffer of its own, so a register not rounded to its precision
+        // shows.
+        let mut covered = std::collections::BTreeSet::new();
+        let double = Precision::Double;
+        for p in Precision::ALL {
+            let (x, y) = (|| load("x", var("i")), || load("y", var("i")));
+            let mut k = kernel("special")
+                .buffer("x", p, Access::Read)
+                .buffer("y", p, Access::Read)
+                .buffer("z", double, Access::Read)
+                .int_param("w");
+            let mut body = vec![let_("i", global_id(1) * var("w") + global_id(0))];
+            let mut outputs = Vec::new();
+            let mut out = |name: String, value: Expr| {
+                body.push(store(name.as_str(), var("i"), cast(double, value)));
+                outputs.push(name);
+            };
+            for op in [
+                FloatBinOp::Add,
+                FloatBinOp::Sub,
+                FloatBinOp::Mul,
+                FloatBinOp::Div,
+                FloatBinOp::Min,
+                FloatBinOp::Max,
+            ] {
+                out(format!("{op:?}"), bin(op, x(), y()));
+            }
+            for op in [
+                UnaryFn::Neg,
+                UnaryFn::Fabs,
+                UnaryFn::Sqrt,
+                UnaryFn::Exp,
+                UnaryFn::Log,
+            ] {
+                out(format!("{op:?}"), unary(op, x()));
+            }
+            out("itof".into(), cast(p, to_int(load("z", var("i")))));
+            let mut accs = Vec::new();
+            for q in Precision::ALL {
+                if q != p {
+                    out(format!("cvt{q:?}"), cast(q, x()));
+                }
+                if q.size_bytes() >= p.size_bytes() {
+                    let acc = format!("acc{q:?}");
+                    out(
+                        format!("fma{q:?}"),
+                        load(acc.as_str(), var("i")) + x() * y(),
+                    );
+                    accs.push((acc, q));
+                }
+            }
+            for (acc, q) in &accs {
+                k = k.buffer(acc.as_str(), *q, Access::Read);
+            }
+            for name in &outputs {
+                k = k.buffer(name.as_str(), double, Access::Write);
+            }
+            let k = k.body(body);
+            covered.extend(lane_loops(&compile_kernel(&k).unwrap()));
+
+            let vals = special_bits(p);
+            let n = vals.len();
+            // Ties at binary16 and binary32, and binary16's overflow.
+            let ints: [i64; 8] = [
+                2049,
+                -2051,
+                16_777_217,
+                65519,
+                65520,
+                -7,
+                1 << 60,
+                (1 << 60) + (1 << 36),
+            ];
+            for w in [8usize, 70] {
+                let items = w * 8;
+                // Item `i` pairs the `i`-th special value with the
+                // `(i / n)`-th, so the 560 items of the wide rows cover
+                // most pairs.
+                let xs: Vec<u64> = (0..items).map(|i| vals[i % n]).collect();
+                let ys: Vec<u64> = (0..items).map(|i| vals[(i / n) % n]).collect();
+                let zs: Vec<f64> = (0..items).map(|i| ints[i % ints.len()] as f64).collect();
+                let mut bufs = BufferMap::new();
+                bufs.insert("x".into(), from_bits(p, &xs));
+                bufs.insert("y".into(), from_bits(p, &ys));
+                bufs.insert("z".into(), FloatVec::from_f64_slice(&zs, double));
+                for (acc, q) in &accs {
+                    let sums: Vec<u64> = (0..items).map(|i| vals[(i * 7 + 3) % n]).collect();
+                    let widened = from_bits(p, &sums).to_f64_vec();
+                    bufs.insert(acc.clone(), FloatVec::from_f64_slice(&widened, *q));
+                }
+                for name in &outputs {
+                    bufs.insert(name.clone(), FloatVec::zeros(items, double));
+                }
+                let launch = Launch::two_d(w, 8).arg_int("w", w as i64);
+                let compiled = compile_kernel(&k).unwrap();
+                let lockstep = compiled.plan(&bufs, &launch, 1).lockstep();
+                assert_eq!(lockstep, w == 70, "{p:?}");
+                assert_equiv_bitwise(&k, &bufs, &launch);
+            }
+        }
+        let mut want = std::collections::BTreeSet::new();
+        for p in Precision::ALL {
+            for op in [
+                "Add", "Sub", "Mul", "Div", "Min", "Max", "Neg", "Fabs", "Sqrt", "Exp", "Log",
+                "Cvt", "IToF",
+            ] {
+                want.insert(format!("{op} {p:?}"));
+            }
+            for q in Precision::ALL {
+                if q.size_bytes() >= p.size_bytes() {
+                    want.insert(format!("FMulAcc {p:?} {q:?}"));
+                }
+            }
+        }
+        let missing: Vec<_> = want.difference(&covered).collect();
+        assert!(missing.is_empty(), "lane loops not run: {missing:?}");
+    }
+
+    /// `a` and `b` of [`mm`] at `ab` with every special value of `ab`
+    /// scattered through them, `c` at `c_elem`.
+    fn special_mm_buffers(n: usize, ab: Precision, c_elem: Precision) -> BufferMap {
+        let mut bufs = gemm_buffers(n, ab);
+        let specials = special_bits(ab);
+        for (name, stride, off) in [("a", 7, 1), ("b", 11, 3)] {
+            let mut xs = bits(&bufs[name]);
+            for (t, &v) in specials.iter().enumerate() {
+                xs[(t * stride + off) * n % (n * n) + t % n] = v;
+            }
+            bufs.insert(name.into(), from_bits(ab, &xs));
+        }
+        bufs.insert("c".into(), FloatVec::zeros(n * n, c_elem));
+        bufs
+    }
+
+    #[test]
+    fn special_values_match_the_interpreter_in_every_dot_step() {
+        // Fused dot loops (`mm`) and unfused pairs of dot steps (SYR2K's
+        // shape, two steps per trip), at every uniform precision and at
+        // the mixed ones polybench produces: operands at one precision
+        // summed into an accumulator at another. Item by item in 8-wide
+        // rows, in lock step in 70-wide ones.
+        let at = |r: &str, c: &str| var(r) * var("n") + var(c);
+        let syr2k = |ab: Precision, c_elem: Precision| {
+            kernel("syr2k")
+                .buffer("a", ab, Access::Read)
+                .buffer("b", ab, Access::Read)
+                .buffer("c", c_elem, Access::ReadWrite)
+                .int_param("n")
+                .body(vec![
+                    let_("j", global_id(0)),
+                    let_("i", global_id(1)),
+                    let_acc("acc", "c", flit(0.0)),
+                    for_(
+                        "kk",
+                        int(0),
+                        var("n"),
+                        vec![
+                            add_assign("acc", load("a", at("i", "kk")) * load("b", at("kk", "j"))),
+                            add_assign("acc", load("b", at("i", "kk")) * load("a", at("kk", "j"))),
+                        ],
+                    ),
+                    store("c", at("i", "j"), var("acc")),
+                ])
+        };
+        for (ab, c_elem) in [
+            (Precision::Half, Precision::Half),
+            (Precision::Single, Precision::Single),
+            (Precision::Double, Precision::Double),
+            (Precision::Half, Precision::Double),
+            (Precision::Half, Precision::Single),
+            (Precision::Double, Precision::Half),
+            (Precision::Double, Precision::Single),
+        ] {
+            for n in [8usize, 70] {
+                let bufs = special_mm_buffers(n, ab, c_elem);
+                let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+                let k = mm(ab, c_elem);
+                assert_equiv_bitwise(&k, &bufs, &launch);
+                assert_eq!(lockstep_dot_loops(&k, &bufs, &launch) > 0, n == 70);
+                let k = syr2k(ab, c_elem);
+                let compiled = compile_kernel(&k).unwrap();
+                assert_eq!(
+                    compiled
+                        .ops
+                        .iter()
+                        .filter(|o| matches!(o, Op::DotStep { .. }))
+                        .count(),
+                    2,
+                    "{:?}",
+                    compiled.ops
+                );
+                assert_eq!(compiled.plan(&bufs, &launch, 1).lockstep(), n == 70);
+                assert_equiv_bitwise(&k, &bufs, &launch);
+            }
+        }
+    }
+
+    #[test]
+    fn integers_convert_to_binary32_with_one_rounding() {
+        // 2^60 + 2^36 + 1 lies just above the midpoint of the binary32
+        // values 2^60 and 2^60 + 2^37, so rounded once it goes up, to bits
+        // 0x5d800001. Through binary64 it first becomes 2^60 + 2^36, the
+        // midpoint itself, which then rounds to even, down to 0x5d800000.
+        let big = (1i64 << 60) + (1 << 36) + 1;
+        let single = Precision::Single;
+        let k = kernel("i2f")
+            .buffer("x", single, Access::Read)
+            .buffer("cast", single, Access::Write)
+            .buffer("mul", single, Access::Write)
+            .buffer("store", single, Access::Write)
+            .buffer("arg", single, Access::Write)
+            .int_param("m")
+            .float_param("f", single)
+            .body(vec![
+                let_("i", global_id(0)),
+                store("cast", var("i"), cast(single, var("m"))),
+                store("mul", var("i"), load("x", var("i")) * var("m")),
+                store("store", var("i"), var("m")),
+                store("arg", var("i"), var("f")),
+            ]);
+        for n in [8usize, 70] {
+            let mut bufs = BufferMap::new();
+            bufs.insert("x".into(), FloatVec::from_f64_slice(&vec![1.0; n], single));
+            for name in ["cast", "mul", "store", "arg"] {
+                bufs.insert(name.into(), FloatVec::zeros(n, single));
+            }
+            let launch = Launch::one_d(n).arg_int("m", big).arg_int("f", big);
+            let compiled = compile_kernel(&k).unwrap();
+            assert_eq!(compiled.plan(&bufs, &launch, 1).lockstep(), n == 70);
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            compiled.run(&mut bufs, &launch).unwrap();
+            for name in ["cast", "mul", "store", "arg"] {
+                assert_eq!(
+                    bits(&bufs[name]),
+                    vec![0x5d80_0001; n],
+                    "`{name}`, {n} items"
+                );
+            }
+        }
+    }
+
     #[test]
     fn lockstep_dot_loops_match_the_interpreter_at_every_precision() {
         // 70-wide rows: a 64-lane block, then a 6-lane one. Row `i` reads
@@ -4025,43 +4544,58 @@ mod tests {
     #[test]
     fn lanes_parked_at_the_other_arm_keep_their_accumulators() {
         // Lanes with `j % 3 == 0` run the dot loop while the rest wait at
-        // the `else` arm, which reads and writes the same accumulator.
-        let k = kernel("arms")
-            .buffer("a", Precision::Double, Access::Read)
-            .buffer("b", Precision::Double, Access::Read)
-            .buffer("c", Precision::Double, Access::ReadWrite)
-            .int_param("n")
-            .body(vec![
-                let_("j", global_id(0)),
-                let_("i", global_id(1)),
-                let_acc("acc", "c", load("c", var("i") * var("n") + var("j"))),
-                if_else(
-                    cmp(CmpOp::Eq, var("j") - var("j") / int(3) * int(3), int(0)),
-                    vec![for_(
-                        "kk",
-                        int(0),
-                        var("n"),
-                        vec![add_assign(
-                            "acc",
-                            load("a", var("i") * var("n") + var("kk"))
-                                * load("b", var("kk") * var("n") + var("j")),
-                        )],
-                    )],
-                    vec![assign("acc", var("acc") * flit(3.0) - flit(1.0))],
-                ),
-                store("c", var("i") * var("n") + var("j"), var("acc")),
-            ]);
+        // the `else` arm, which reads and writes the same sums. With two
+        // products a trip, each summed into the other sum, the loop does
+        // not fuse: its two dot steps run over the lanes at the loop's pc,
+        // each writing a register the parked lanes read later.
+        let a_b = || {
+            load("a", var("i") * var("n") + var("kk")) * load("b", var("kk") * var("n") + var("j"))
+        };
         let n = 70usize;
-        let mut bufs = mm_buffers(n, Precision::Double, Precision::Double);
-        let cs: Vec<f64> = (0..n * n).map(|i| i as f64 * 0.25).collect();
-        bufs.insert("c".into(), FloatVec::from_f64_slice(&cs, Precision::Double));
-        let launch = Launch::two_d(n, n).arg_int("n", n as i64);
-        assert!(compile_kernel(&k)
-            .unwrap()
-            .plan(&bufs, &launch, 1)
-            .lockstep());
-        assert_equiv_bitwise(&k, &bufs, &launch);
-        assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), 2 * n as u64);
+        for (trip, dot_loops) in [
+            (vec![add_assign("acc", a_b())], 2 * n as u64),
+            (
+                vec![
+                    assign("alt", var("acc") + a_b()),
+                    assign("acc", var("alt") + a_b()),
+                ],
+                0,
+            ),
+        ] {
+            let k = kernel("arms")
+                .buffer("a", Precision::Double, Access::Read)
+                .buffer("b", Precision::Double, Access::Read)
+                .buffer("c", Precision::Double, Access::ReadWrite)
+                .int_param("n")
+                .body(vec![
+                    let_("j", global_id(0)),
+                    let_("i", global_id(1)),
+                    let_acc("acc", "c", load("c", var("i") * var("n") + var("j"))),
+                    let_acc("alt", "c", var("acc") * flit(0.5)),
+                    if_else(
+                        cmp(CmpOp::Eq, var("j") - var("j") / int(3) * int(3), int(0)),
+                        vec![for_("kk", int(0), var("n"), trip)],
+                        vec![
+                            assign("acc", var("acc") * flit(3.0) - flit(1.0)),
+                            assign("alt", var("alt") - var("acc")),
+                        ],
+                    ),
+                    store("c", var("i") * var("n") + var("j"), var("acc") + var("alt")),
+                ]);
+            let mut bufs = mm_buffers(n, Precision::Double, Precision::Double);
+            let cs: Vec<f64> = (0..n * n).map(|i| i as f64 * 0.25).collect();
+            bufs.insert("c".into(), FloatVec::from_f64_slice(&cs, Precision::Double));
+            let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+            let compiled = compile_kernel(&k).unwrap();
+            assert!(compiled.plan(&bufs, &launch, 1).lockstep());
+            let steps = compiled
+                .ops
+                .iter()
+                .filter(|o| matches!(o, Op::DotStep { .. }));
+            assert_eq!(steps.count(), if dot_loops == 0 { 2 } else { 0 });
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), dot_loops);
+        }
     }
 
     #[test]

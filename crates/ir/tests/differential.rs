@@ -15,6 +15,10 @@
 //! The proof's verdict must also survive a random retyping of every
 //! kernel's buffers and a random in-kernel compute map, since compiled
 //! precision variants share their kernel's verdict.
+//!
+//! The CI fault matrix re-runs the suite under several values of
+//! `PRESCALER_FAULT_SEED`, which is mixed into both generator seeds;
+//! unset, the suite generates the fixed seeds' cases.
 
 use prescaler_ir::analysis::parallel_safety;
 use prescaler_ir::dsl::*;
@@ -112,8 +116,12 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
         2 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a + b),
         2 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a * b),
         1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a - b),
+        1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| a / b),
+        1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| min2(a, b)),
+        1 => (sub.clone(), sub.clone()).prop_map(|(a, b)| max2(a, b)),
         1 => sub.clone().prop_map(fabs),
         1 => sub.clone().prop_map(|a| sqrt(fabs(a))),
+        1 => sub.clone().prop_map(exp),
         1 => (arb_precision(), sub.clone()).prop_map(|(p, a)| cast(p, a)),
         // Select with a float condition: both engines evaluate both arms.
         1 => (sub.clone(), sub.clone(), sub.clone())
@@ -762,13 +770,27 @@ fn check_verdict_ignores_precisions(
     }
 }
 
+/// The CI matrix seed from `PRESCALER_FAULT_SEED`, 0 when unset.
+fn matrix_seed() -> u64 {
+    std::env::var("PRESCALER_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+/// The generator seed named `name`, mixed with the matrix seed so each
+/// row of the CI matrix fuzzes other kernels (unset, the fixed seed's).
+fn seed(name: &str) -> u64 {
+    TestRng::seed_from_name(name) ^ matrix_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 #[test]
 fn engines_and_analysis_agree_on_random_kernels() {
     let strategy = arb_case();
-    let mut rng = TestRng::new(TestRng::seed_from_name("differential::random_kernels"));
+    let mut rng = TestRng::new(seed("differential::random_kernels"));
     // Precision maps draw from a stream of their own, so drawing them
     // does not change which kernels the fixed seed generates.
-    let mut maps = TestRng::new(TestRng::seed_from_name("differential::precision_maps"));
+    let mut maps = TestRng::new(seed("differential::precision_maps"));
     let mut scratch = VmScratch::new();
     let (mut lockstep, mut chunked, mut dot) = (0usize, 0usize, 0usize);
     for case_no in 0..CASES {

@@ -9,9 +9,9 @@
 //! * a **cost model** — [`TransferPlan::time`] computes the virtual time of
 //!   any (method, type-path, size) combination on a [`SystemModel`]; and
 //! * a **functional implementation** — [`TransferPlan::apply_with_threads`]
-//!   performs the actual element-wise conversions (optionally on real
-//!   threads), so the numeric consequences of every path (including
-//!   double-rounding through a transient intermediate) are real.
+//!   performs the actual element-wise conversions, so the numeric
+//!   consequences of every path (including double-rounding through a
+//!   transient intermediate) are real.
 
 use crate::cpu::CpuModel;
 use crate::system::SystemModel;
@@ -286,11 +286,11 @@ impl TransferPlan {
 
     /// Functionally applies the plan's value path to `data` (which must be
     /// `src`-typed), producing `dst`-typed data rounded exactly as the
-    /// plan's conversion chain rounds, on up to `threads` *real* worker
-    /// threads. The thread count is decoupled from the simulated
-    /// [`HostMethod`], which only drives the cost model
-    /// ([`TransferPlan::time`]). Conversion is element-wise, so the result
-    /// is bit-identical at any thread count.
+    /// plan's conversion chain rounds. Each leg is [`convert_parallel`]
+    /// with the `threads` budget, which runs on the calling thread; the
+    /// budget is decoupled from the simulated [`HostMethod`], which only
+    /// drives the cost model ([`TransferPlan::time`]). The result is
+    /// bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -330,65 +330,21 @@ fn host_convert_time(
     compute.max(floor)
 }
 
-/// Element-wise conversion of `data` to precision `p`, split over up to
-/// `threads` real threads. Identical results to [`FloatVec::converted`].
+/// Element-wise conversion of `data` to precision `p`: exactly
+/// [`FloatVec::converted`], on the calling thread whatever the `threads`
+/// budget.
+///
+/// No pair of precisions splits over threads, because two threads did not
+/// pay reliably. Three probes on a shared 2-vCPU host converted every pair
+/// at 4K–1M elements on 1 and on 2 threads, in 9–15 alternating runs per
+/// size. In none did a pair win every run at every size from some size
+/// up. Below 32K elements two threads lost nearly every run of every
+/// pair; binary32 ↔ binary64 lost nearly every run at every size; from
+/// 64K elements the pairs into binary16 won 8–9 runs of 9 in the first
+/// probe, 4–13 of 15 in the second and 4–9 of 9 in the third.
 #[must_use]
-pub fn convert_parallel(data: &FloatVec, p: Precision, threads: usize) -> FloatVec {
-    use prescaler_fp16::F16;
-
-    /// Below this size, thread-spawn latency dominates conversion work.
-    const MIN_PARALLEL_ELEMS: usize = 4096;
-
-    let n = data.len();
-    let threads = threads.clamp(1, 64).min(n.max(1));
-    if data.precision() == p || threads <= 1 || n < MIN_PARALLEL_ELEMS {
-        return data.converted(p);
-    }
-    let chunk = n.div_ceil(threads);
-
-    /// Converts `src` chunk-by-chunk into disjoint chunks of a fresh
-    /// typed output vector, one scoped worker per chunk. Each worker
-    /// runs the same typed narrowing loop as [`FloatVec::converted`],
-    /// so the result is bit-identical regardless of thread count.
-    fn run<S: Sync, D: Send + Copy>(
-        src: &[S],
-        zero: D,
-        chunk: usize,
-        f: impl Fn(&S) -> D + Sync,
-    ) -> Vec<D> {
-        let mut out = vec![zero; src.len()];
-        std::thread::scope(|scope| {
-            for (s, d) in src.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                let f = &f;
-                scope.spawn(move || {
-                    for (x, y) in s.iter().zip(d.iter_mut()) {
-                        *y = f(x);
-                    }
-                });
-            }
-        });
-        out
-    }
-
-    // Each arm rounds exactly once, matching `FloatVec::set` semantics.
-    match (data, p) {
-        (FloatVec::F16(v), Precision::Single) => {
-            FloatVec::F32(run(v, 0.0, chunk, |x| x.to_f64() as f32))
-        }
-        (FloatVec::F16(v), Precision::Double) => FloatVec::F64(run(v, 0.0, chunk, |x| x.to_f64())),
-        (FloatVec::F32(v), Precision::Half) => {
-            FloatVec::F16(run(v, F16::ZERO, chunk, |&x| F16::from_f64(f64::from(x))))
-        }
-        (FloatVec::F32(v), Precision::Double) => {
-            FloatVec::F64(run(v, 0.0, chunk, |&x| f64::from(x)))
-        }
-        (FloatVec::F64(v), Precision::Half) => {
-            FloatVec::F16(run(v, F16::ZERO, chunk, |&x| F16::from_f64(x)))
-        }
-        (FloatVec::F64(v), Precision::Single) => FloatVec::F32(run(v, 0.0, chunk, |&x| x as f32)),
-        // Identity pairs returned above.
-        _ => data.converted(p),
-    }
+pub fn convert_parallel(data: &FloatVec, p: Precision, _threads: usize) -> FloatVec {
+    data.converted(p)
 }
 
 #[cfg(test)]

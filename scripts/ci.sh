@@ -56,14 +56,18 @@ cargo run --release --offline --bin prescaler-verify
 # off, trials strictly fewer where anything was pruned — per fault
 # universe. The trial-engine suite pins speculative and sequential
 # engines, whose concurrent trials share one compiled-variant cache, to
-# bit-identical tuning results per fault universe.
+# bit-identical tuning results per fault universe. The IR's differential
+# fuzzer (`-p prescaler-ir --test differential`) mixes the seed into its
+# kernel and precision-map generators, so each row checks 512 other random
+# kernels against the interpreter.
 for seed in 1 2 3; do
     PRESCALER_FAULT_SEED=$seed \
-        cargo test -q --offline \
+        cargo test -q --offline -p prescaler-repro \
         --test guard_properties \
         --test crash_resume_properties --test drift_properties \
         --test serve_properties --test parallel_exec_properties \
-        --test static_analysis_properties --test trial_engine_equivalence
+        --test static_analysis_properties --test trial_engine_equivalence \
+        -p prescaler-ir --test differential
 done
 
 # Crash-resume smoke: kill one tune at a seeded boundary with a seeded
