@@ -1,8 +1,11 @@
 //! The application profiler — one baseline run under the interposition
 //! runtime, distilled into what the decision maker needs.
 
-use prescaler_ocl::{run_app, HostApp, OclError, Outputs, ProfileLog, ScalingSpec};
+use prescaler_ocl::{
+    run_app_shared, HostApp, OclError, Outputs, ProfileLog, ScalingSpec, VariantCache,
+};
 use prescaler_sim::{Direction, SimTime, SystemModel};
+use std::sync::Arc;
 
 /// The distilled profile of one application on one system.
 #[derive(Clone, Debug)]
@@ -51,14 +54,17 @@ const PROFILE_SAMPLES: usize = 5;
 /// taken from the *median* (by total time) of `PROFILE_SAMPLES` (5) runs on
 /// the faulty system, so one unlucky sample cannot reshuffle the decision
 /// tree; samples that fail outright are skipped, and if every sample
-/// fails the clean log orders the objects.
+/// fails the clean log orders the objects. All the runs share one variant
+/// cache, so each kernel's baseline variant compiles once per profile.
 ///
 /// # Errors
 ///
 /// Propagates [`OclError`] from the application driver's clean run.
 pub fn profile_app(app: &dyn HostApp, system: &SystemModel) -> Result<AppProfile, OclError> {
+    let variants = Arc::new(VariantCache::new(app.program()));
+    let baseline = ScalingSpec::baseline();
     let clean = system.without_faults();
-    let (reference, log) = run_app(app, &clean, &ScalingSpec::baseline())?;
+    let (reference, log) = run_app_shared(app, &variants, &clean, &baseline, 1)?;
     let baseline_time = log.timeline.total();
 
     let noisy_median = if system.faults.is_inert() {
@@ -74,7 +80,7 @@ pub fn profile_app(app: &dyn HostApp, system: &SystemModel) -> Result<AppProfile
             .filter_map(|i| {
                 let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1);
                 let forked = system.clone().with_faults(system.faults.fork(salt));
-                run_app(app, &forked, &ScalingSpec::baseline()).ok()
+                run_app_shared(app, &variants, &forked, &baseline, 1).ok()
             })
             .map(|(_, l)| l)
             .collect();

@@ -7,10 +7,12 @@
 //! finding, and classifies each one with a severity, so a runtime can
 //! refuse to compile genuinely broken kernels ([`Severity::Error`])
 //! while merely reporting suspicious-but-runnable shapes
-//! ([`Severity::Warning`]). `ocl::Session` runs it on every scaled
-//! kernel variant before handing it to the compiler, and the
-//! `prescaler-verify` check runs it over the whole polybench suite,
-//! where zero diagnostics of any severity are expected.
+//! ([`Severity::Warning`]). `ocl::Session`'s variant cache runs it once
+//! per kernel, before the kernel's first precision variant compiles
+//! (retyping buffers or inserting casts adds no error, so every variant
+//! shares the verdict), and the `prescaler-verify` check runs it over the
+//! whole polybench suite and every precision variant of it, where zero
+//! diagnostics of any severity are expected.
 
 use crate::ast::{visit_expr, Expr, Kernel, Param, Program, Scopes, Stmt, TypeRef};
 use crate::typeck::check_kernel;

@@ -64,9 +64,9 @@
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, WriteSummary};
 use crate::array::FloatVec;
-use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt};
+use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt, TypeRef};
 use crate::counts::OpCounts;
-use crate::interp::{resolve, select_type, ArgValue, BufferMap, ExecError, Launch};
+use crate::interp::{select_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
 use crate::value::{int_to_float, CmpOp, FloatBinOp, Scalar, UnaryFn};
 use prescaler_fp16::F16;
@@ -279,8 +279,10 @@ enum ParamBind {
     },
 }
 
-/// A compiled kernel.
-#[derive(Clone, Debug)]
+/// A compiled kernel. Two compiles are equal when their bytecode is: ops,
+/// count, dot-step and loop tables, constant pools, parameter bindings and
+/// the disjoint-access verdict.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledKernel {
     name: String,
     ops: Vec<Op>,
@@ -386,11 +388,30 @@ impl Val {
 /// Returns [`ExecError::UnboundVar`], [`ExecError::NotABuffer`], or
 /// [`ExecError::KindError`] for constructs the type checker rejects.
 pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
-    compile_with_safety(kernel, Arc::new(analysis::parallel_safety(kernel)))
+    let declared: Vec<Precision> = kernel
+        .params
+        .iter()
+        .filter_map(|p| match p {
+            Param::Buffer { elem, .. } => Some(*elem),
+            Param::Scalar { .. } => None,
+        })
+        .collect();
+    compile_with_safety(
+        kernel,
+        &declared,
+        Arc::new(analysis::parallel_safety(kernel)),
+    )
 }
 
-/// [`compile_kernel`] with the disjoint-access verdict supplied, so that
-/// the precision variants of one kernel share one analysis.
+/// [`compile_kernel`] of `kernel` with its buffer parameters retyped to
+/// `buffers` (one precision per buffer parameter, in parameter order) and
+/// the disjoint-access verdict supplied, so that the precision variants of
+/// one kernel share one kernel and one analysis. For a kernel that passes
+/// [`crate::typeck::check_kernel`] the bytecode is exactly that of
+/// `compile_kernel(&retype_buffers(kernel, map))`, where `map` names each
+/// buffer's entry of `buffers`: loads, stores, `ElemOf` types and buffer
+/// bindings all read the element type from `buffers`, and nothing clones
+/// the kernel.
 ///
 /// `safety` must be [`analysis::parallel_safety`] of `kernel`, or of the
 /// kernel `kernel` was derived from by
@@ -401,10 +422,25 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
 /// # Errors
 ///
 /// As [`compile_kernel`].
+///
+/// # Panics
+///
+/// If `buffers` does not hold exactly one precision per buffer parameter.
 pub fn compile_with_safety(
     kernel: &Kernel,
+    buffers: &[Precision],
     safety: Arc<ParallelSafety>,
 ) -> Result<CompiledKernel, ExecError> {
+    assert_eq!(
+        buffers.len(),
+        kernel
+            .params
+            .iter()
+            .filter(|p| matches!(p, Param::Buffer { .. }))
+            .count(),
+        "kernel `{}` needs one precision per buffer parameter",
+        kernel.name
+    );
     debug_assert!(
         *safety == analysis::parallel_safety(kernel),
         "kernel `{}` compiled with another kernel's disjoint-access verdict",
@@ -412,6 +448,7 @@ pub fn compile_with_safety(
     );
     let mut c = Compiler {
         kernel,
+        buffers,
         ops: Vec::new(),
         counts_table: Vec::new(),
         pending: OpCounts::new(),
@@ -429,21 +466,21 @@ pub fn compile_with_safety(
     let mut n_slots: u32 = 0;
     for p in &kernel.params {
         match p {
-            Param::Buffer { name, elem, .. } => {
+            Param::Buffer { name, .. } => {
                 // Buffers index the *buffer* binding list, which skips
                 // scalar parameters.
                 c.buf_index.insert(name.clone(), n_bufs);
-                n_bufs += 1;
                 c.params.push(ParamBind::Buffer {
                     name: name.clone(),
-                    elem: *elem,
+                    elem: buffers[usize::from(n_bufs)],
                 });
+                n_bufs += 1;
             }
             Param::Scalar { name, ty } => {
                 let slot = n_slots;
                 n_slots += 1;
                 arg_slots.insert(name.clone(), slot);
-                match resolve(kernel, ty)? {
+                match c.resolve(ty)? {
                     ScalarType::Int => {
                         let reg = c.alloc_i();
                         c.params.push(ParamBind::ScalarInt {
@@ -479,7 +516,7 @@ pub fn compile_with_safety(
     c.ops.push(Op::Halt);
 
     let mut tables = FusionTables::default();
-    let ops = peephole(c.ops, &mut tables);
+    let ops = peephole(c.ops, c.next_i, c.next_f, &mut tables);
     Ok(CompiledKernel {
         name: kernel.name.clone(),
         ops,
@@ -499,6 +536,9 @@ pub fn compile_with_safety(
 
 struct Compiler<'k> {
     kernel: &'k Kernel,
+    /// The variant's element precision of each buffer parameter, in
+    /// parameter order.
+    buffers: &'k [Precision],
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
     pending: OpCounts,
@@ -543,6 +583,34 @@ impl<'k> Compiler<'k> {
         let r = self.alloc_f();
         self.float_pool.push((r, v));
         r
+    }
+
+    /// The variant's element precision of buffer `name`: that of the first
+    /// parameter so named, if it is a buffer ([`Kernel::buffer_elem`] of
+    /// the retyped kernel).
+    fn buffer_elem(&self, name: &str) -> Option<Precision> {
+        let mut nth = 0;
+        for p in &self.kernel.params {
+            match p {
+                Param::Buffer { name: n, .. } if n == name => return Some(self.buffers[nth]),
+                Param::Buffer { .. } => nth += 1,
+                Param::Scalar { name: n, .. } if n == name => return None,
+                Param::Scalar { .. } => {}
+            }
+        }
+        None
+    }
+
+    /// `ty` resolved against the variant's buffer precisions; a dangling
+    /// `ElemOf` is [`ExecError::NotABuffer`], as in the interpreter.
+    fn resolve(&self, ty: &TypeRef) -> Result<ScalarType, ExecError> {
+        match ty {
+            TypeRef::Concrete(t) => Ok(*t),
+            TypeRef::ElemOf(buf) => self
+                .buffer_elem(buf)
+                .map(ScalarType::Float)
+                .ok_or_else(|| ExecError::NotABuffer(buf.clone())),
+        }
     }
 
     fn lookup(&self, name: &str) -> Result<(Val, ScalarType), ExecError> {
@@ -596,7 +664,7 @@ impl<'k> Compiler<'k> {
         match stmt {
             Stmt::Let { name, ty, value } => {
                 let declared = match ty {
-                    Some(t) => Some(resolve(self.kernel, t)?),
+                    Some(t) => Some(self.resolve(t)?),
                     None => None,
                 };
                 let (mut v, mut t) = self.expr(value, declared.and_then(ScalarType::precision))?;
@@ -634,7 +702,7 @@ impl<'k> Compiler<'k> {
                 }
             }
             Stmt::Store { buf, index, value } => {
-                let Some(elem) = self.kernel.buffer_elem(buf) else {
+                let Some(elem) = self.buffer_elem(buf) else {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
                 let (iv, it) = self.expr(index, None)?;
@@ -813,7 +881,7 @@ impl<'k> Compiler<'k> {
                     )));
                 }
                 let idx = iv.ireg();
-                let Some(elem) = self.kernel.buffer_elem(buf) else {
+                let Some(elem) = self.buffer_elem(buf) else {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
                 self.pending.at_mut(elem).loads += 1;
@@ -948,7 +1016,7 @@ impl<'k> Compiler<'k> {
             }
             Expr::Cast { to, arg } => {
                 let (v, t) = self.expr(arg, None)?;
-                let target = resolve(self.kernel, to)?;
+                let target = self.resolve(to)?;
                 Ok(self.coerce(v, t, target))
             }
             Expr::Select { cond, then, els } => {
@@ -1175,31 +1243,54 @@ fn for_each_read(op: Op, t: &FusionTables, fi: &mut impl FnMut(IReg), ff: &mut i
 /// Runs to a fixpoint: a fused op can enable further fusion (e.g. the
 /// multiply-accumulate's result copy sinks on the next pass, and a loop
 /// whose body became one `DotStep` fuses whole on the pass after).
-fn peephole(mut ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
+fn peephole(mut ops: Vec<Op>, n_iregs: u32, n_fregs: u32, tables: &mut FusionTables) -> Vec<Op> {
+    let mut scratch = PassScratch {
+        is_target: Vec::with_capacity(ops.len()),
+        ireads: vec![0; n_iregs as usize],
+        freads: vec![0; n_fregs as usize],
+        remap: Vec::with_capacity(ops.len() + 1),
+        out: Vec::with_capacity(ops.len()),
+    };
     loop {
         let before = ops.len();
-        ops = peephole_pass(ops, tables);
+        peephole_pass(&ops, &mut scratch, tables);
+        std::mem::swap(&mut ops, &mut scratch.out);
         if ops.len() == before {
+            ops.shrink_to_fit();
             return ops;
         }
     }
 }
 
+/// The storage of a peephole pass, reused by every pass of the fixpoint:
+/// the input's jump targets and register read counts, the old → new
+/// position map, and the output.
+struct PassScratch {
+    is_target: Vec<bool>,
+    /// Read counts per register (registers are dense indices).
+    ireads: Vec<u32>,
+    freads: Vec<u32>,
+    remap: Vec<u32>,
+    out: Vec<Op>,
+}
+
+/// One peephole pass over `ops`, leaving the fused program in
+/// `scratch.out`.
 #[allow(clippy::too_many_lines)]
-fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
+fn peephole_pass(ops: &[Op], scratch: &mut PassScratch, tables: &mut FusionTables) {
+    let PassScratch {
+        is_target,
+        ireads,
+        freads,
+        remap,
+        out,
+    } = scratch;
     let n = ops.len();
-    let mut is_target = vec![false; n];
-    // Read counts per register (registers are dense indices).
-    let bump = |reads: &mut Vec<u32>, r: u32| {
-        let r = r as usize;
-        if r >= reads.len() {
-            reads.resize(r + 1, 0);
-        }
-        reads[r] += 1;
-    };
-    let mut ireads = Vec::new();
-    let mut freads = Vec::new();
-    for &op in &ops {
+    is_target.clear();
+    is_target.resize(n, false);
+    ireads.fill(0);
+    freads.fill(0);
+    for &op in ops {
         match op {
             Op::Jump(t)
             | Op::JumpIfFalse { target: t, .. }
@@ -1209,16 +1300,17 @@ fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
             | Op::CountAddJump { target: t, .. } => is_target[t as usize] = true,
             _ => {}
         }
-        for_each_read(op, tables, &mut |r| bump(&mut ireads, r), &mut |r| {
-            bump(&mut freads, r);
+        for_each_read(op, tables, &mut |r| ireads[r as usize] += 1, &mut |r| {
+            freads[r as usize] += 1;
         });
     }
-    let iread = |r: IReg| ireads.get(r as usize).copied().unwrap_or(0);
-    let fread = |r: FReg| freads.get(r as usize).copied().unwrap_or(0);
+    let iread = |r: IReg| ireads[r as usize];
+    let fread = |r: FReg| freads[r as usize];
     let interior_free = |lo: usize, hi: usize| (lo..=hi).all(|k| !is_target[k]);
 
-    let mut out = Vec::with_capacity(n);
-    let mut remap = vec![0u32; n + 1];
+    out.clear();
+    remap.clear();
+    remap.resize(n + 1, 0);
     let mut i = 0usize;
     while i < n {
         let new_pc = out.len() as u32;
@@ -1452,7 +1544,7 @@ fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
     }
     remap[n] = out.len() as u32;
 
-    for op in &mut out {
+    for op in out.iter_mut() {
         match op {
             Op::Jump(t)
             | Op::JumpIfFalse { target: t, .. }
@@ -1463,7 +1555,6 @@ fn peephole_pass(ops: Vec<Op>, tables: &mut FusionTables) -> Vec<Op> {
             _ => {}
         }
     }
-    out
 }
 
 /// The precision a float operation on operands of types `a` and `b`

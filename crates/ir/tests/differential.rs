@@ -12,9 +12,11 @@
 //! strided or unevenly spaced across the lanes of a row, so fused
 //! dot-product loops run once per lock-step block too; the executor's own
 //! tally counts those.
-//! The proof's verdict must also survive a random retyping of every
-//! kernel's buffers and a random in-kernel compute map, since compiled
-//! precision variants share their kernel's verdict.
+//! The proof's verdict and the verifier's errors must also survive a
+//! random retyping of every kernel's buffers and a random in-kernel
+//! compute map, since compiled precision variants share their kernel's
+//! verdict and verification; and compiling a kernel straight from the
+//! retyping's buffer precisions must give the retyped kernel's bytecode.
 //!
 //! The CI fault matrix re-runs the suite under several values of
 //! `PRESCALER_FAULT_SEED`, which is mixed into both generator seeds;
@@ -27,13 +29,14 @@ use prescaler_ir::parse::parse_kernel;
 use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::print::kernel_to_string;
 use prescaler_ir::typeck::check_kernel;
-use prescaler_ir::verify::{verify_kernel, Severity};
-use prescaler_ir::vm::{compile_kernel, VmScratch};
+use prescaler_ir::verify::{verify_kernel, Severity, VerifyDiagnostic};
+use prescaler_ir::vm::{compile_kernel, compile_with_safety, VmScratch};
 use prescaler_ir::{
     Access, CmpOp, Expr, FloatVec, Kernel, Param, Precision, ScalarType, Stmt, TypeRef,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const BUF_LEN: i64 = 17;
 
@@ -677,10 +680,7 @@ struct Engaged {
 fn check(case: &Case, scratch: &mut VmScratch) -> Engaged {
     let k = &case.kernel;
     check_kernel(k).expect("generated kernels are well-typed");
-    let errors: Vec<_> = verify_kernel(k)
-        .into_iter()
-        .filter(|d| d.severity() == Severity::Error)
-        .collect();
+    let errors = verifier_errors(k);
     assert!(
         errors.is_empty(),
         "verifier errors {errors:?}\n{}",
@@ -751,9 +751,22 @@ fn arb_precision_map(k: &Kernel) -> impl Strategy<Value = HashMap<String, Precis
         .prop_map(move |ps| buffers.iter().cloned().zip(ps).collect())
 }
 
+/// The Error-severity findings of `verify_kernel`.
+fn verifier_errors(k: &Kernel) -> Vec<VerifyDiagnostic> {
+    verify_kernel(k)
+        .into_iter()
+        .filter(|d| d.severity() == Severity::Error)
+        .collect()
+}
+
 /// The disjoint-access verdict of `k` retyped to `retype`, and of that
-/// computing at `compute`, is the verdict of `k`.
-fn check_verdict_ignores_precisions(
+/// computing at `compute`, is the verdict of `k`. The retyped kernel gets
+/// `k`'s verifier diagnostics and the cast one `k`'s errors: a cast
+/// kernel's `ElemOf` types turn concrete, so a buffer named only by a
+/// scalar parameter's element type may turn unused, a warning. Compiling
+/// `k` straight from `retype`'s buffer precisions gives the retyped
+/// kernel's bytecode.
+fn check_variants_share_the_kernels_analyses(
     k: &Kernel,
     retype: &HashMap<String, Precision>,
     compute: &HashMap<String, Precision>,
@@ -768,6 +781,31 @@ fn check_verdict_ignores_precisions(
             kernel_to_string(k)
         );
     }
+    let shown = kernel_to_string(k);
+    assert_eq!(
+        verify_kernel(&retyped),
+        verify_kernel(k),
+        "retyped to {retype:?}\n{shown}"
+    );
+    assert_eq!(
+        verifier_errors(&cast),
+        verifier_errors(k),
+        "retyped to {retype:?}, computing at {compute:?}\n{shown}"
+    );
+    let key: Vec<Precision> = k
+        .params
+        .iter()
+        .filter_map(|p| match p {
+            Param::Buffer { name, .. } => Some(retype[name]),
+            Param::Scalar { .. } => None,
+        })
+        .collect();
+    let from_key =
+        compile_with_safety(k, &key, Arc::new(verdict)).expect("well-typed kernels compile");
+    assert!(
+        from_key == compile_kernel(&retyped).expect("well-typed kernels compile"),
+        "compiling from {retype:?} differs from compiling the retyped kernel\n{shown}"
+    );
 }
 
 /// The CI matrix seed from `PRESCALER_FAULT_SEED`, 0 when unset.
@@ -798,7 +836,7 @@ fn engines_and_analysis_agree_on_random_kernels() {
         let _note = CaseNote(case_no);
         let retype = arb_precision_map(&case.kernel).generate(&mut maps);
         let compute = arb_precision_map(&case.kernel).generate(&mut maps);
-        check_verdict_ignores_precisions(&case.kernel, &retype, &compute);
+        check_variants_share_the_kernels_analyses(&case.kernel, &retype, &compute);
         let ran = check(&case, &mut scratch);
         lockstep += usize::from(ran.lockstep);
         chunked += usize::from(ran.chunked);

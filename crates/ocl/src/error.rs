@@ -49,9 +49,10 @@ pub enum OclError {
         /// Supplied length.
         got: usize,
     },
-    /// The (possibly transformed) kernel carries Error-severity
-    /// IR-verifier diagnostics — structurally broken or ill-typed IR
-    /// caught before compilation.
+    /// The program's kernel carries Error-severity IR-verifier
+    /// diagnostics — structurally broken or ill-typed IR caught before
+    /// compilation. Every precision variant of the kernel fails with it,
+    /// and the diagnostics name the kernel's declared types.
     Verify {
         /// Kernel name.
         kernel: String,

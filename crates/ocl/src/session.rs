@@ -357,16 +357,17 @@ impl Session {
     /// The kernel actually executed is the program's kernel *re-typed to
     /// the bound buffers' device precisions* (the spec's memory-object
     /// scaling), then transformed by the spec's in-kernel cast map if one
-    /// is present. The transformed kernel is verified (type check
-    /// included), compiled once per variant in the session's
-    /// [`VariantCache`], executed functionally by the VM, and its dynamic
-    /// operation counts are priced on the GPU model.
+    /// is present. The session's [`VariantCache`] verifies the program's
+    /// kernel (type check included) once, on its first launch, and
+    /// compiles each such variant once; the VM executes it functionally,
+    /// and its dynamic operation counts are priced on the GPU model.
     ///
     /// # Errors
     ///
     /// Propagates unknown kernels, unbound/foreign arguments, a buffer
-    /// bound to two parameters, a scaled kernel failing the verifier, and
-    /// execution errors.
+    /// bound to two parameters, a kernel failing the verifier (whatever
+    /// the bound precisions, and reported in the kernel's declared types),
+    /// and execution errors.
     pub fn launch_kernel(
         &mut self,
         name: &str,

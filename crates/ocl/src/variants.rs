@@ -7,11 +7,16 @@
 //! bound to it, then rewritten by the spec's in-kernel compute map for that
 //! kernel, if the spec has one. Its key is therefore the kernel, the bound
 //! buffer precisions in parameter order, and that compute map. Each new
-//! variant is retyped, verified and compiled once. The disjoint-access
-//! proof reads no precision, so it runs once per kernel, when the cache is
-//! built, and every variant's compile shares it. A variant that fails
-//! verification is not cached: it fails again in every session that
-//! launches it.
+//! variant is compiled once, straight from the kernel and the key's buffer
+//! precisions ([`compile_with_safety`]); only a compute map still builds a
+//! retyped, cast kernel to compile. Neither the verifier nor the
+//! disjoint-access proof reads a precision: retyping buffers or inserting
+//! casts adds no verifier error and changes no verdict. So each kernel is
+//! verified once, on its first miss, and proved once, when the cache is
+//! built, and every variant shares both. A kernel that fails verification
+//! fails under every key in every session that launches it, even where a
+//! compute map would make its cast variant clean; debug builds re-verify
+//! each variant they compile and check that it passes too.
 
 use crate::error::OclError;
 use prescaler_ir::analysis::parallel_safety;
@@ -19,7 +24,7 @@ use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::vm::{compile_with_safety, CompiledKernel};
 use prescaler_ir::{Kernel, ParallelSafety, Param, Precision, Program, Severity};
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// A program and its compiled kernel variants, safe to share between
 /// threads. A trial engine builds one and hands it to all its trials'
@@ -31,10 +36,14 @@ pub struct VariantCache {
     kernels: Vec<KernelVariants>,
 }
 
-/// One kernel's disjoint-access proof and compiled variants.
+/// One kernel's disjoint-access proof, verifier verdict and compiled
+/// variants.
 #[derive(Debug)]
 struct KernelVariants {
     safety: Arc<ParallelSafety>,
+    /// The verifier's errors on the kernel, joined, if it has any; set on
+    /// the kernel's first miss.
+    verdict: OnceLock<Result<(), String>>,
     compiled: RwLock<Vec<Variant>>,
 }
 
@@ -69,6 +78,7 @@ impl VariantCache {
             .iter()
             .map(|k| KernelVariants {
                 safety: Arc::new(parallel_safety(k)),
+                verdict: OnceLock::new(),
                 compiled: RwLock::default(),
             })
             .collect();
@@ -95,8 +105,9 @@ impl VariantCache {
     /// under the in-kernel compute map `compute`, compiled on first use.
     /// A hit allocates nothing.
     ///
-    /// Compilation runs outside the lock. When two threads race on one
-    /// variant, both compile the same bytes and the first insert wins.
+    /// Verification and compilation run outside the lock. When two
+    /// threads race on one variant, both compile the same bytes and the
+    /// first insert wins.
     pub(crate) fn variant(
         &self,
         index: usize,
@@ -114,21 +125,26 @@ impl VariantCache {
             return Ok(hit);
         }
         drop(cached);
-        let buffers: Box<[Precision]> = buffers.collect();
         let kernel = &self.program.kernels[index];
-        let retype: HashMap<String, Precision> = kernel
-            .params
-            .iter()
-            .filter(|p| matches!(p, Param::Buffer { .. }))
-            .map(|p| p.name().to_owned())
-            .zip(buffers.iter().copied())
-            .collect();
-        let mut scaled = retype_buffers(kernel, &retype);
-        if let Some(compute) = compute {
-            scaled = insert_casts(&scaled, compute);
+        if let Err(message) = entry.verdict.get_or_init(|| verifier_errors(kernel)) {
+            return Err(OclError::Verify {
+                kernel: kernel.name.clone(),
+                message: message.clone(),
+            });
         }
-        reject_verifier_errors(&scaled)?;
-        let compiled = Arc::new(compile_with_safety(&scaled, Arc::clone(&entry.safety))?);
+        let buffers: Box<[Precision]> = buffers.collect();
+        debug_assert_eq!(
+            verifier_errors(&scaled(kernel, &buffers, compute)),
+            Ok(()),
+            "kernel `{}` verifies but its variant at {buffers:?}, computing at {compute:?}, \
+             does not",
+            kernel.name
+        );
+        let safety = Arc::clone(&entry.safety);
+        let compiled = Arc::new(match compute {
+            None => compile_with_safety(kernel, &buffers, safety),
+            Some(_) => compile_with_safety(&scaled(kernel, &buffers, compute), &buffers, safety),
+        }?);
 
         let mut variants = entry
             .compiled
@@ -146,12 +162,33 @@ impl VariantCache {
     }
 }
 
-/// Rejects a kernel carrying Error-severity verifier diagnostics —
-/// structurally broken or ill-typed IR (the verifier reports a type-checker
-/// refusal as a `TypeClash` error) must never reach compilation or
-/// execution.
-/// Warnings (dead stores, unused params) are the lint tool's business.
-fn reject_verifier_errors(kernel: &Kernel) -> Result<(), OclError> {
+/// `kernel` retyped to `buffers` (one precision per buffer parameter, in
+/// parameter order), then cast to compute at `compute`, if given.
+fn scaled(
+    kernel: &Kernel,
+    buffers: &[Precision],
+    compute: Option<&HashMap<String, Precision>>,
+) -> Kernel {
+    let retype: HashMap<String, Precision> = kernel
+        .params
+        .iter()
+        .filter(|p| matches!(p, Param::Buffer { .. }))
+        .map(|p| p.name().to_owned())
+        .zip(buffers.iter().copied())
+        .collect();
+    let retyped = retype_buffers(kernel, &retype);
+    match compute {
+        Some(compute) => insert_casts(&retyped, compute),
+        None => retyped,
+    }
+}
+
+/// The Error-severity verifier diagnostics of `kernel`, joined, if it has
+/// any: structurally broken or ill-typed IR (the verifier reports a
+/// type-checker refusal as a `TypeClash` error) must never reach
+/// compilation or execution. Warnings (dead stores, unused params) are the
+/// lint tool's business.
+fn verifier_errors(kernel: &Kernel) -> Result<(), String> {
     let errors: Vec<String> = prescaler_ir::verify_kernel(kernel)
         .into_iter()
         .filter(|d| d.severity() == Severity::Error)
@@ -160,10 +197,7 @@ fn reject_verifier_errors(kernel: &Kernel) -> Result<(), OclError> {
     if errors.is_empty() {
         Ok(())
     } else {
-        Err(OclError::Verify {
-            kernel: kernel.name.clone(),
-            message: errors.join("; "),
-        })
+        Err(errors.join("; "))
     }
 }
 
@@ -303,5 +337,72 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, OclError::Verify { .. }), "{err}");
         }
+    }
+
+    #[test]
+    fn a_kernel_that_fails_verification_fails_under_every_key() {
+        // A loop bound loaded from `x` is a float whatever `x`'s precision,
+        // so the type checker refuses every variant.
+        let program = Program::new("float_bound").with_kernel(
+            kernel("float_bound")
+                .buffer("x", Precision::Double, Access::Read)
+                .buffer("y", Precision::Double, Access::Write)
+                .body(vec![for_(
+                    "j",
+                    int(0),
+                    load("x", int(0)),
+                    vec![store("y", var("j"), flit(1.0))],
+                )]),
+        );
+        let shared = Arc::new(VariantCache::new(program));
+        let specs = [
+            ScalingSpec::baseline(),
+            ScalingSpec::baseline().with_target("X", Precision::Half),
+        ];
+        for (spec, bound) in specs.into_iter().zip([Precision::Double, Precision::Half]) {
+            let mut s = Session::shared(SystemModel::system1(), Arc::clone(&shared), spec);
+            let x = s.create_buffer("X", 4, Precision::Double).unwrap();
+            let y = s.create_buffer("Y", 4, Precision::Double).unwrap();
+            let args = [("x", KernelArg::Buffer(x)), ("y", KernelArg::Buffer(y))];
+            let err = s.launch_kernel("float_bound", [4, 1], &args).unwrap_err();
+            let OclError::Verify { message, .. } = &err else {
+                panic!("x at {bound:?}: {err}");
+            };
+            // The verdict is the kernel's, so it names `x`'s declared type,
+            // not the variant's.
+            assert!(
+                message.contains("must be an integer, found Known(Float(Double))"),
+                "x at {bound:?}: {message}"
+            );
+            let log = s.into_log();
+            assert_eq!(log.object("X").map(|o| o.device_precision), Some(bound));
+        }
+    }
+
+    #[test]
+    fn a_compute_map_cannot_hide_a_verifier_error() {
+        // `ghost` names no buffer, so the cast dangles. A compute map
+        // naming `ghost` makes the cast variant's type concrete, and that
+        // variant clean, but the verdict is the kernel's.
+        let program = Program::new("ghost").with_kernel(
+            kernel("ghost")
+                .buffer("y", Precision::Double, Access::Write)
+                .body(vec![store(
+                    "y",
+                    global_id(0),
+                    cast_elem_of("ghost", flit(1.0)),
+                )]),
+        );
+        let mut spec = ScalingSpec::baseline();
+        spec.in_kernel.insert(
+            "ghost".into(),
+            HashMap::from([("ghost".to_owned(), Precision::Half)]),
+        );
+        let mut s = Session::new(SystemModel::system1(), program, spec);
+        let y = s.create_buffer("Y", 4, Precision::Double).unwrap();
+        let err = s
+            .launch_kernel("ghost", [4, 1], &[("y", KernelArg::Buffer(y))])
+            .unwrap_err();
+        assert!(matches!(err, OclError::Verify { .. }), "{err}");
     }
 }

@@ -1,11 +1,15 @@
 //! `prescaler-verify` — the IR-verifier CI check.
 //!
-//! Verifies every kernel of every polybench benchmark and requires
-//! **zero diagnostics of any severity** (the session gate only rejects
-//! errors; shipped kernels are held to the stricter bar of no warnings
-//! either). Then sanity-checks the verifier itself against a matrix of
-//! deliberately broken kernels, each of which must produce its specific
-//! typed diagnostic. Exits nonzero on any violation.
+//! Verifies every kernel of every polybench benchmark, and every precision
+//! variant a session can launch of it: each buffer-precision retyping, and
+//! each retyping cast to compute one precision higher (binary64 wrapping
+//! to binary16). It requires **zero diagnostics of any severity** (the
+//! session gate only rejects errors; shipped kernels are held to the
+//! stricter bar of no warnings either). A variant cache verifies only the
+//! declared kernel and lets every variant share the verdict, which the
+//! variant checks back. Then sanity-checks the verifier itself against a
+//! matrix of deliberately broken kernels, each of which must produce its
+//! specific typed diagnostic. Exits nonzero on any violation.
 //!
 //! ```text
 //! cargo run --release --bin prescaler-verify
@@ -15,9 +19,38 @@ use prescaler_ir::ast::{Access, Stmt};
 use prescaler_ir::dsl::{
     flit, for_, global_id, if_, int, kernel, let_, load, lt, store, var, KernelBuilder,
 };
-use prescaler_ir::{verify_kernel, verify_program, Precision, VerifyDiagnostic};
+use prescaler_ir::passes::{insert_casts, retype_buffers};
+use prescaler_ir::{verify_kernel, Kernel, Param, Precision, VerifyDiagnostic};
 use prescaler_ocl::HostApp;
 use prescaler_polybench::{BenchKind, PolyApp};
+use std::collections::HashMap;
+
+/// `kernel` under every buffer-precision map, retyped, and retyped then
+/// cast to compute one precision higher (binary64 wrapping to binary16),
+/// so that every load carries a cast.
+fn variants(kernel: &Kernel) -> Vec<Kernel> {
+    const PRECISIONS: [Precision; 3] = [Precision::Half, Precision::Single, Precision::Double];
+    let buffers: Vec<&str> = kernel
+        .params
+        .iter()
+        .filter(|p| matches!(p, Param::Buffer { .. }))
+        .map(Param::name)
+        .collect();
+    let mut out = Vec::new();
+    for code in 0..3usize.pow(buffers.len() as u32) {
+        let mut digits = code;
+        let (mut retype, mut compute) = (HashMap::new(), HashMap::new());
+        for &b in &buffers {
+            retype.insert(b.to_owned(), PRECISIONS[digits % 3]);
+            compute.insert(b.to_owned(), PRECISIONS[(digits + 1) % 3]);
+            digits /= 3;
+        }
+        let retyped = retype_buffers(kernel, &retype);
+        out.push(insert_casts(&retyped, &compute));
+        out.push(retyped);
+    }
+    out
+}
 
 fn broken_base() -> KernelBuilder {
     kernel("k")
@@ -40,16 +73,25 @@ fn use_all() -> Vec<Stmt> {
 fn main() {
     let mut failures = 0usize;
 
-    // Part 1: every shipped benchmark kernel verifies completely clean.
-    let mut kernels = 0usize;
+    // Part 1: every shipped benchmark kernel, and each of its precision
+    // variants, verifies completely clean.
+    let (mut kernels, mut cases) = (0usize, 0usize);
     for kind in BenchKind::ALL {
         let app = PolyApp::tiny(kind);
         let program = app.program();
         kernels += program.kernels.len();
-        let diagnostics = verify_program(&program);
+        let mut checked = 0usize;
+        let mut diagnostics = Vec::new();
+        for k in &program.kernels {
+            for variant in std::iter::once(k.clone()).chain(variants(k)) {
+                diagnostics.extend(verify_kernel(&variant));
+                checked += 1;
+            }
+        }
+        cases += checked;
         if diagnostics.is_empty() {
             println!(
-                "ok   {:<8} {} kernels clean",
+                "ok   {:<8} {} kernels and their variants clean ({checked} cases)",
                 app.name(),
                 program.kernels.len()
             );
@@ -126,7 +168,10 @@ fn main() {
         }
     }
 
-    println!("\n{kernels} benchmark kernels verified, {failures} failures");
+    println!(
+        "\n{kernels} benchmark kernels verified in {cases} cases (declared precisions \
+         and every variant), {failures} failures"
+    );
     if failures > 0 {
         std::process::exit(1);
     }

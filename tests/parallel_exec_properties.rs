@@ -421,3 +421,77 @@ fn disjoint_access_verdicts_ignore_precisions() {
     }
     assert_eq!((kernels, cases), (27, 1566), "kernels and cases checked");
 }
+
+/// A variant cache compiles each variant straight from its kernel and the
+/// key's buffer precisions, and verifies each kernel once: every
+/// polybench kernel under every buffer-precision map compiles from the
+/// key to exactly the bytecode of the kernel retyped to the map, and to
+/// that of the kernel retyped then cast as above; and both variants get
+/// the base kernel's verifier diagnostics.
+#[test]
+fn compiling_from_the_key_matches_compiling_the_retyped_kernel() {
+    use prescaler_ir::analysis::parallel_safety;
+    use prescaler_ir::passes::{insert_casts, retype_buffers};
+    use prescaler_ir::vm::compile_with_safety;
+    use prescaler_ir::{verify_kernel, Param};
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    let up = |p: Precision| match p {
+        Precision::Half => Precision::Single,
+        Precision::Single => Precision::Double,
+        Precision::Double => Precision::Half,
+    };
+    let (mut kernels, mut cases) = (0usize, 0usize);
+    for &kind in &BenchKind::ALL {
+        for base in &PolyApp::tiny(kind).program().kernels {
+            let safety = Arc::new(parallel_safety(base));
+            let diagnostics = verify_kernel(base);
+            let buffers: Vec<&str> = base
+                .params
+                .iter()
+                .filter(|p| matches!(p, Param::Buffer { .. }))
+                .map(Param::name)
+                .collect();
+            for code in 0..3usize.pow(buffers.len() as u32) {
+                let mut digits = code;
+                let key: Vec<Precision> = buffers
+                    .iter()
+                    .map(|_| {
+                        let p = [Precision::Half, Precision::Single, Precision::Double][digits % 3];
+                        digits /= 3;
+                        p
+                    })
+                    .collect();
+                let map: HashMap<String, Precision> = buffers
+                    .iter()
+                    .map(|&b| b.to_owned())
+                    .zip(key.iter().copied())
+                    .collect();
+                let retyped = retype_buffers(base, &map);
+                let compute = map.iter().map(|(b, &p)| (b.clone(), up(p))).collect();
+                let cast = insert_casts(&retyped, &compute);
+                for (what, variant, source) in [("retyped", &retyped, base), ("cast", &cast, &cast)]
+                {
+                    let want = compile_kernel(variant).expect("polybench variants compile");
+                    let got = compile_with_safety(source, &key, Arc::clone(&safety))
+                        .expect("polybench variants compile");
+                    assert!(
+                        got == want,
+                        "{}: {what} under {map:?} compiles to other bytecode from the key",
+                        base.name
+                    );
+                    assert_eq!(
+                        verify_kernel(variant),
+                        diagnostics,
+                        "{}: {what} under {map:?} verifies otherwise",
+                        base.name
+                    );
+                    cases += 1;
+                }
+            }
+            kernels += 1;
+        }
+    }
+    assert_eq!((kernels, cases), (27, 1566), "kernels and cases checked");
+}
