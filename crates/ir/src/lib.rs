@@ -7,9 +7,9 @@
 //!
 //! * [`ast`] — kernels, parameters, statements, expressions;
 //! * [`dsl`] — a builder DSL so kernels read close to OpenCL C;
-//! * [`typeck`] — a type checker (also the post-condition of every pass);
-//! * [`passes`] — memory-object retyping, in-kernel cast insertion,
-//!   constant folding, access inference;
+//! * [`typeck`] — the kernel checker: type checking (also the
+//!   post-condition of every pass) and verification in one walk;
+//! * [`passes`] — memory-object retyping and in-kernel cast insertion;
 //! * [`interp`] — functional execution in true binary16/32/64 arithmetic,
 //!   with exact dynamic operation counts;
 //! * [`vm`] — a bytecode compiler and VM, bit-identical to the interpreter
@@ -18,7 +18,7 @@
 //!   launch in parallel chunks and its rows in lock-step blocks;
 //! * [`range`] — forward value-range dataflow (interval arithmetic with
 //!   widening at loop heads) proving precision-safety verdicts;
-//! * [`verify`] — a structural IR verifier with typed diagnostics, run
+//! * [`verify`] — the verifier's typed diagnostics and lint rules, run
 //!   before kernel compilation;
 //! * [`print`](mod@print) — OpenCL-C-like pretty-printing.
 //!

@@ -11,8 +11,7 @@
 //! * parsed local/scalar types are always *concrete* (the printer resolves
 //!   `ElemOf` references before emitting source);
 //! * a `const __global` buffer parameter parses as read-only, a plain
-//!   `__global` one as read-write — [`crate::passes::infer_access`] can
-//!   refine this afterwards;
+//!   `__global` one as read-write;
 //! * a minus sign directly before a literal folds into the literal, so an
 //!   explicit `Neg(Const)` node does not survive a round trip (a negative
 //!   constant does).

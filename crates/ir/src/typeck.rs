@@ -1,12 +1,24 @@
-//! Type checking for kernels and programs.
+//! The kernel checker: type checking and verification in one walk.
 //!
-//! The checker validates a kernel against its *current* parameter table, so
-//! it doubles as the post-condition of every precision-rewriting pass: a
-//! retyped or cast-inserted kernel must still check.
+//! One pass over a kernel's parameters and body, with one scope stack,
+//! finds both the first violation of the type rules, which
+//! [`check_kernel`] returns ("can this kernel run?"), and the structural
+//! lints that [`verify_kernel`](crate::verify::verify_kernel) reports as
+//! typed diagnostics ("is it well-formed?"). The walk goes on past the
+//! first violation so that later lints still report, but no later
+//! violation replaces it. A rule checked before descending into an
+//! expression (a load's buffer, a store's target, a select's condition)
+//! is checked before its operands, and every `let` and loop variable is
+//! bound, even one the type rules refuse, so later names resolve to it.
+//!
+//! The checker validates a kernel against its *current* parameter table,
+//! so it doubles as the post-condition of every precision-rewriting pass:
+//! a retyped or cast-inserted kernel must still check.
 
 use crate::ast::{Expr, Kernel, Param, Program, Scopes, Stmt, TypeRef};
 use crate::types::{Precision, ScalarType};
 use crate::value::UnaryFn;
+use crate::verify::{const_int, dead_store, VerifyDiagnostic};
 use core::fmt;
 use std::collections::HashSet;
 
@@ -94,34 +106,64 @@ pub fn check_program(program: &Program) -> Result<(), TypeError> {
 ///
 /// # Errors
 ///
-/// Returns a [`TypeError`] for: duplicate parameter names, dangling
-/// `ElemOf` references, unbound variables, loads/stores violating the
-/// declared access mode, non-integer indices or loop bounds, non-boolean
-/// conditions, booleans in arithmetic, assignment to loop variables or
-/// parameters, or redeclaration of a live local.
+/// Returns the first [`TypeError`] in parameter and program order for:
+/// duplicate parameter names, dangling `ElemOf` references, unbound
+/// variables, loads/stores violating the declared access mode, non-integer
+/// indices or loop bounds, non-boolean conditions, booleans in arithmetic,
+/// assignment to loop variables or parameters, or redeclaration of a live
+/// local.
 pub fn check_kernel(kernel: &Kernel) -> Result<(), TypeError> {
-    let mut names = HashSet::new();
-    for p in &kernel.params {
-        if !names.insert(p.name().to_owned()) {
-            return Err(TypeError::new(
-                &kernel.name,
-                format!("duplicate parameter `{}`", p.name()),
-            ));
+    walk(kernel).violation.map_or(Ok(()), Err)
+}
+
+/// What one walk of a kernel found.
+pub(crate) struct Findings {
+    /// The verifier's diagnostics in report order, without the type
+    /// violation.
+    pub(crate) diagnostics: Vec<VerifyDiagnostic>,
+    /// The first violation of the type rules.
+    pub(crate) violation: Option<TypeError>,
+}
+
+/// Checks `kernel` in one walk over its parameters and body.
+pub(crate) fn walk(kernel: &Kernel) -> Findings {
+    let mut cx = Checker {
+        kernel,
+        scopes: Scopes::new(),
+        used: HashSet::new(),
+        diagnostics: Vec::new(),
+        oob: Vec::new(),
+        violation: None,
+    };
+    for (i, p) in kernel.params.iter().enumerate() {
+        if kernel.params[..i].iter().any(|q| q.name() == p.name()) {
+            cx.fail(format!("duplicate parameter `{}`", p.name()));
         }
         if let Param::Scalar {
             ty: TypeRef::ElemOf(buf),
             name,
         } = p
         {
-            ensure_buffer(kernel, buf)
-                .map_err(|m| TypeError::new(&kernel.name, format!("parameter `{name}`: {m}")))?;
+            // An element type anchors the buffer it names: a use.
+            cx.used.insert(buf);
+            if let Err(m) = ensure_buffer(kernel, buf) {
+                cx.fail(format!("parameter `{name}`: {m}"));
+            }
         }
     }
-    let mut cx = Ctx {
-        kernel,
-        scopes: Scopes::new(),
-    };
-    cx.check_block(&kernel.body)
+    cx.block(&kernel.body);
+    for p in &kernel.params {
+        if !cx.used.contains(p.name()) {
+            cx.diagnostics.push(VerifyDiagnostic::UnusedParam {
+                kernel: kernel.name.clone(),
+                param: p.name().to_owned(),
+            });
+        }
+    }
+    Findings {
+        diagnostics: cx.diagnostics,
+        violation: cx.violation,
+    }
 }
 
 fn ensure_buffer(kernel: &Kernel, buf: &str) -> Result<Precision, String> {
@@ -139,102 +181,126 @@ enum Binding {
     LoopVar,
 }
 
-struct Ctx<'k> {
+struct Checker<'k> {
     kernel: &'k Kernel,
     scopes: Scopes<'k, Binding>,
+    /// Parameters the kernel references.
+    used: HashSet<&'k str>,
+    diagnostics: Vec<VerifyDiagnostic>,
+    /// Negative constant load indices of the statement-level expression
+    /// being walked: they report after its unbound names.
+    oob: Vec<(&'k str, i64)>,
+    violation: Option<TypeError>,
 }
 
-impl<'k> Ctx<'k> {
-    fn err(&self, message: impl Into<String>) -> TypeError {
-        TypeError::new(&self.kernel.name, message)
+impl<'k> Checker<'k> {
+    /// Records a type-rule violation unless an earlier one was recorded.
+    /// The types inferred after the first are placeholders.
+    fn fail(&mut self, message: impl Into<String>) {
+        if self.violation.is_none() {
+            self.violation = Some(TypeError::new(&self.kernel.name, message));
+        }
     }
 
-    fn lookup(&self, name: &str) -> Option<Binding> {
-        self.scopes.get(name).copied()
+    fn name(&self) -> String {
+        self.kernel.name.clone()
     }
 
-    fn declare(&mut self, name: &'k str, b: Binding) -> Result<(), TypeError> {
+    /// Binds `name` in the innermost scope, even where the type rules
+    /// refuse it.
+    fn declare(&mut self, name: &'k str, b: Binding) {
         if self.kernel.param(name).is_some() {
-            return Err(self.err(format!("`{name}` shadows a kernel parameter")));
+            self.fail(format!("`{name}` shadows a kernel parameter"));
         }
         if self.scopes.bind(name, b).is_some() {
-            return Err(self.err(format!("redeclaration of `{name}` in the same scope")));
+            self.fail(format!("redeclaration of `{name}` in the same scope"));
         }
-        Ok(())
     }
 
-    fn check_block(&mut self, stmts: &'k [Stmt]) -> Result<(), TypeError> {
-        for s in stmts {
-            self.check_stmt(s)?;
-        }
-        Ok(())
-    }
-
-    fn scoped(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<(), TypeError>,
-    ) -> Result<(), TypeError> {
+    fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
         self.scopes.push();
-        let r = f(self);
+        f(self);
         self.scopes.pop();
-        r
     }
 
-    fn check_stmt(&mut self, stmt: &'k Stmt) -> Result<(), TypeError> {
+    fn block(&mut self, stmts: &'k [Stmt]) {
+        let mut pending = Vec::new();
+        for s in stmts {
+            if let Some((buf, index)) = dead_store(&mut pending, s) {
+                self.diagnostics.push(VerifyDiagnostic::DeadStore {
+                    kernel: self.name(),
+                    buf: buf.to_owned(),
+                    index,
+                });
+            }
+            self.stmt(s);
+        }
+    }
+
+    fn stmt(&mut self, stmt: &'k Stmt) {
         match stmt {
             Stmt::Let { name, ty, value } => {
-                let vt = self.infer(value)?;
+                let vt = self.expr(value);
                 if !vt.is_numeric() {
-                    return Err(self.err(format!("local `{name}` initialized with a boolean")));
+                    self.fail(format!("local `{name}` initialized with a boolean"));
                 }
                 let declared = match ty {
                     Some(TypeRef::Concrete(t)) => *t,
                     Some(TypeRef::ElemOf(buf)) => {
-                        let p = ensure_buffer(self.kernel, buf)
-                            .map_err(|m| self.err(format!("local `{name}`: {m}")))?;
+                        self.used.insert(buf);
+                        let p = ensure_buffer(self.kernel, buf).unwrap_or_else(|m| {
+                            self.fail(format!("local `{name}`: {m}"));
+                            Precision::Double
+                        });
                         ScalarType::Float(p)
                     }
                     None => vt.resolved(),
                 };
-                self.declare(name, Binding::Local(declared))
+                self.declare(name, Binding::Local(declared));
             }
             Stmt::Assign { name, value } => {
-                let vt = self.infer(value)?;
-                match self.lookup(name) {
+                let vt = self.expr(value);
+                match self.scopes.get(name).copied() {
                     Some(Binding::Local(t)) => {
                         if t == ScalarType::Bool || !vt.is_numeric() {
-                            return Err(
-                                self.err(format!("assignment to `{name}` mixes bool and number"))
-                            );
+                            self.fail(format!("assignment to `{name}` mixes bool and number"));
                         }
-                        Ok(())
                     }
                     Some(Binding::LoopVar) => {
-                        Err(self.err(format!("cannot assign to loop variable `{name}`")))
+                        self.fail(format!("cannot assign to loop variable `{name}`"));
+                    }
+                    None if self.kernel.param(name).is_some() => {
+                        self.fail(format!("cannot assign to parameter `{name}`"));
                     }
                     None => {
-                        if self.kernel.param(name).is_some() {
-                            Err(self.err(format!("cannot assign to parameter `{name}`")))
-                        } else {
-                            Err(self.err(format!("assignment to undeclared `{name}`")))
-                        }
+                        self.unbound(name);
+                        self.fail(format!("assignment to undeclared `{name}`"));
                     }
                 }
             }
             Stmt::Store { buf, index, value } => {
                 match self.kernel.param(buf) {
-                    Some(Param::Buffer { access, .. }) if access.writable() => {}
-                    Some(Param::Buffer { .. }) => {
-                        return Err(self.err(format!("store to read-only buffer `{buf}`")))
+                    Some(Param::Buffer { access, .. }) => {
+                        self.used.insert(buf);
+                        if !access.writable() {
+                            self.fail(format!("store to read-only buffer `{buf}`"));
+                        }
+                        if let Some(i) = const_int(index).filter(|&i| i < 0) {
+                            self.out_of_bounds(buf, i);
+                        }
                     }
-                    _ => return Err(self.err(format!("store to unknown buffer `{buf}`"))),
+                    _ => {
+                        self.diagnostics.push(VerifyDiagnostic::NonBufferStore {
+                            kernel: self.name(),
+                            name: buf.clone(),
+                        });
+                        self.fail(format!("store to unknown buffer `{buf}`"));
+                    }
                 }
-                self.expect_int(index, "store index")?;
-                let vt = self.infer(value)?;
-                if !vt.is_numeric() {
-                    return Err(self.err(format!("storing a boolean into `{buf}`")));
+                self.int_expr(index, "store index");
+                if !self.expr(value).is_numeric() {
+                    self.fail(format!("storing a boolean into `{buf}`"));
                 }
-                Ok(())
             }
             Stmt::For {
                 var,
@@ -242,149 +308,208 @@ impl<'k> Ctx<'k> {
                 end,
                 body,
             } => {
-                self.expect_int(start, "loop start")?;
-                self.expect_int(end, "loop end")?;
+                self.int_expr(start, "loop start");
+                self.int_expr(end, "loop end");
                 self.scoped(|cx| {
-                    cx.declare(var, Binding::LoopVar)?;
-                    cx.check_block(body)
-                })
+                    cx.declare(var, Binding::LoopVar);
+                    cx.block(body);
+                });
             }
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let ct = self.infer(cond)?;
-                if ct != InferTy::Known(ScalarType::Bool) {
-                    return Err(self.err("if condition is not a boolean"));
+                if self.expr(cond) != InferTy::Known(ScalarType::Bool) {
+                    self.fail("if condition is not a boolean");
                 }
-                self.scoped(|cx| cx.check_block(then_body))?;
-                self.scoped(|cx| cx.check_block(else_body))
+                self.scoped(|cx| cx.block(then_body));
+                self.scoped(|cx| cx.block(else_body));
             }
         }
     }
 
-    fn expect_int(&mut self, e: &Expr, what: &str) -> Result<(), TypeError> {
-        match self.infer(e)? {
-            InferTy::Known(ScalarType::Int) => Ok(()),
-            other => Err(self.err(format!("{what} must be an integer, found {other:?}"))),
+    /// Infers a statement-level expression's type: its unbound names
+    /// report as the walk meets them, its negative constant load indices
+    /// after them.
+    fn expr(&mut self, e: &'k Expr) -> InferTy {
+        let t = self.infer(e);
+        for (buf, index) in std::mem::take(&mut self.oob) {
+            self.out_of_bounds(buf, index);
+        }
+        t
+    }
+
+    fn int_expr(&mut self, e: &'k Expr, what: &str) {
+        let t = self.expr(e);
+        self.expect_int(t, what);
+    }
+
+    fn expect_int(&mut self, t: InferTy, what: &str) {
+        if t != InferTy::Known(ScalarType::Int) {
+            self.fail(format!("{what} must be an integer, found {t:?}"));
         }
     }
 
-    fn infer(&mut self, e: &Expr) -> Result<InferTy, TypeError> {
+    fn out_of_bounds(&mut self, buf: &str, index: i64) {
+        self.diagnostics.push(VerifyDiagnostic::OobConstIndex {
+            kernel: self.name(),
+            buf: buf.to_owned(),
+            index,
+        });
+    }
+
+    fn unbound(&mut self, name: &str) {
+        self.diagnostics.push(VerifyDiagnostic::UnboundVar {
+            kernel: self.name(),
+            name: name.to_owned(),
+        });
+    }
+
+    fn infer(&mut self, e: &'k Expr) -> InferTy {
         match e {
-            Expr::FloatConst(_) => Ok(InferTy::WeakFloat),
-            Expr::IntConst(_) => Ok(InferTy::Known(ScalarType::Int)),
+            Expr::FloatConst(_) => InferTy::WeakFloat,
+            Expr::IntConst(_) => InferTy::Known(ScalarType::Int),
             Expr::GlobalId(dim) => {
                 if *dim > 2 {
-                    return Err(self.err(format!("get_global_id({dim}) exceeds 3 dimensions")));
+                    self.fail(format!("get_global_id({dim}) exceeds 3 dimensions"));
                 }
-                Ok(InferTy::Known(ScalarType::Int))
+                InferTy::Known(ScalarType::Int)
             }
-            Expr::Var(name) => {
-                if let Some(b) = self.lookup(name) {
-                    return Ok(match b {
-                        Binding::Local(t) => InferTy::Known(t),
-                        Binding::LoopVar => InferTy::Known(ScalarType::Int),
-                    });
+            Expr::Var(name) => self.var(name),
+            Expr::Load { buf, index } => {
+                let param = self.kernel.param(buf);
+                if param.is_some() {
+                    self.used.insert(buf);
                 }
-                match self.kernel.param(name) {
-                    // `check_kernel` has vetted every parameter's `ElemOf`.
-                    Some(Param::Scalar { ty, .. }) => {
-                        self.kernel.resolve(ty).map(InferTy::Known).ok_or_else(|| {
-                            self.err(format!("parameter `{name}` has a dangling element type"))
-                        })
+                let elem = match param {
+                    Some(Param::Buffer { access, elem, .. }) => {
+                        if !access.readable() {
+                            self.fail(format!("load from write-only buffer `{buf}`"));
+                        }
+                        *elem
                     }
-                    Some(Param::Buffer { .. }) => {
-                        Err(self.err(format!("buffer `{name}` used as a scalar")))
+                    _ => {
+                        self.fail(format!("load from unknown buffer `{buf}`"));
+                        Precision::Double
                     }
-                    None => Err(self.err(format!("unbound variable `{name}`"))),
+                };
+                if let Some(i) = const_int(index).filter(|&i| i < 0) {
+                    self.oob.push((buf, i));
                 }
+                let it = self.infer(index);
+                self.expect_int(it, "load index");
+                InferTy::Known(ScalarType::Float(elem))
             }
-            Expr::Load { buf, index } => match self.kernel.param(buf) {
-                Some(Param::Buffer { access, elem, .. }) => {
-                    if !access.readable() {
-                        return Err(self.err(format!("load from write-only buffer `{buf}`")));
-                    }
-                    self.expect_int(index, "load index")?;
-                    Ok(InferTy::Known(ScalarType::Float(*elem)))
-                }
-                _ => Err(self.err(format!("load from unknown buffer `{buf}`"))),
-            },
             Expr::Unary { op, arg } => {
-                let at = self.infer(arg)?;
+                let at = self.infer(arg);
                 if !at.is_numeric() {
-                    return Err(self.err("math function applied to a boolean"));
+                    self.fail("math function applied to a boolean");
                 }
                 match op {
-                    UnaryFn::Neg | UnaryFn::Fabs => Ok(at),
+                    UnaryFn::Neg | UnaryFn::Fabs => at,
                     // sqrt/exp/log of an int computes in double.
-                    _ => Ok(match at {
+                    _ => match at {
                         InferTy::Known(ScalarType::Int) => {
                             InferTy::Known(ScalarType::Float(Precision::Double))
                         }
                         other => other,
-                    }),
+                    },
                 }
             }
             Expr::Bin { lhs, rhs, .. } => {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
+                let lt = self.infer(lhs);
+                let rt = self.infer(rhs);
                 self.promote(lt, rt)
             }
             Expr::Cmp { lhs, rhs, .. } => {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
-                self.promote(lt, rt)?; // validates numeric operands
-                Ok(InferTy::Known(ScalarType::Bool))
+                let lt = self.infer(lhs);
+                let rt = self.infer(rhs);
+                self.promote(lt, rt); // validates numeric operands
+                InferTy::Known(ScalarType::Bool)
             }
             Expr::Cast { to, arg } => {
-                let at = self.infer(arg)?;
-                if !at.is_numeric() {
-                    return Err(self.err("cast applied to a boolean"));
+                if !self.infer(arg).is_numeric() {
+                    self.fail("cast applied to a boolean");
                 }
-                let target = match to {
+                match to {
                     TypeRef::Concrete(ScalarType::Bool) => {
-                        return Err(self.err("cast to bool is not allowed"))
+                        self.fail("cast to bool is not allowed");
+                        InferTy::Known(ScalarType::Bool)
                     }
-                    TypeRef::Concrete(t) => *t,
+                    TypeRef::Concrete(t) => InferTy::Known(*t),
                     TypeRef::ElemOf(buf) => {
-                        ScalarType::Float(ensure_buffer(self.kernel, buf).map_err(|m| self.err(m))?)
+                        self.used.insert(buf);
+                        let p = ensure_buffer(self.kernel, buf).unwrap_or_else(|m| {
+                            self.fail(m);
+                            Precision::Double
+                        });
+                        InferTy::Known(ScalarType::Float(p))
                     }
-                };
-                Ok(InferTy::Known(target))
+                }
             }
             Expr::Select { cond, then, els } => {
-                if self.infer(cond)? != InferTy::Known(ScalarType::Bool) {
-                    return Err(self.err("select condition is not a boolean"));
+                if self.infer(cond) != InferTy::Known(ScalarType::Bool) {
+                    self.fail("select condition is not a boolean");
                 }
-                let tt = self.infer(then)?;
-                let et = self.infer(els)?;
+                let tt = self.infer(then);
+                let et = self.infer(els);
                 // Arms must agree in kind (both integer or both float):
                 // a mixed select would need a branch-dependent conversion.
                 let int_arm = |t: InferTy| t == InferTy::Known(ScalarType::Int);
                 if int_arm(tt) != int_arm(et) {
-                    return Err(self.err("select arms mix integer and float"));
+                    self.fail("select arms mix integer and float");
                 }
                 self.promote(tt, et)
             }
         }
     }
 
-    fn promote(&self, a: InferTy, b: InferTy) -> Result<InferTy, TypeError> {
+    fn var(&mut self, name: &'k str) -> InferTy {
+        if let Some(b) = self.scopes.get(name) {
+            return match *b {
+                Binding::Local(t) => InferTy::Known(t),
+                Binding::LoopVar => InferTy::Known(ScalarType::Int),
+            };
+        }
+        match self.kernel.param(name) {
+            Some(p) => {
+                self.used.insert(name);
+                match p {
+                    // A dangling `ElemOf` failed with the parameters.
+                    Param::Scalar { ty, .. } => self
+                        .kernel
+                        .resolve(ty)
+                        .map_or(InferTy::WeakFloat, InferTy::Known),
+                    Param::Buffer { .. } => {
+                        self.fail(format!("buffer `{name}` used as a scalar"));
+                        InferTy::WeakFloat
+                    }
+                }
+            }
+            None => {
+                self.unbound(name);
+                self.fail(format!("unbound variable `{name}`"));
+                InferTy::WeakFloat
+            }
+        }
+    }
+
+    fn promote(&mut self, a: InferTy, b: InferTy) -> InferTy {
         use InferTy::{Known, WeakFloat};
         use ScalarType::{Bool, Float, Int};
         match (a, b) {
-            (Known(Bool), _) | (_, Known(Bool)) => Err(self.err("boolean operand in arithmetic")),
-            (Known(Int), Known(Int)) => Ok(Known(Int)),
-            (Known(Float(x)), Known(Float(y))) => Ok(Known(Float(x.max(y)))),
-            (Known(Float(x)), Known(Int)) | (Known(Int), Known(Float(x))) => Ok(Known(Float(x))),
-            (WeakFloat, Known(Float(x))) | (Known(Float(x)), WeakFloat) => Ok(Known(Float(x))),
-            // A weak literal against an int computes in double (C rules).
-            (WeakFloat, Known(Int)) | (Known(Int), WeakFloat) => {
-                Ok(Known(Float(Precision::Double)))
+            (Known(Bool), _) | (_, Known(Bool)) => {
+                self.fail("boolean operand in arithmetic");
+                WeakFloat
             }
-            (WeakFloat, WeakFloat) => Ok(WeakFloat),
+            (Known(Int), Known(Int)) => Known(Int),
+            (Known(Float(x)), Known(Float(y))) => Known(Float(x.max(y))),
+            (Known(Float(x)), Known(Int)) | (Known(Int), Known(Float(x))) => Known(Float(x)),
+            (WeakFloat, Known(Float(x))) | (Known(Float(x)), WeakFloat) => Known(Float(x)),
+            // A weak literal against an int computes in double (C rules).
+            (WeakFloat, Known(Int)) | (Known(Int), WeakFloat) => Known(Float(Precision::Double)),
+            (WeakFloat, WeakFloat) => WeakFloat,
         }
     }
 }

@@ -1,24 +1,26 @@
 //! The IR verifier: structural lints over a kernel, reported as typed
 //! diagnostics instead of a first-error abort.
 //!
-//! The type checker ([`crate::typeck`]) answers "can this kernel run?"
-//! and stops at the first violation. The verifier answers "is this
-//! kernel *well-formed*?": it walks the whole kernel, collects every
-//! finding, and classifies each one with a severity, so a runtime can
-//! refuse to compile genuinely broken kernels ([`Severity::Error`])
-//! while merely reporting suspicious-but-runnable shapes
-//! ([`Severity::Warning`]). `ocl::Session`'s variant cache runs it once
-//! per kernel, before the kernel's first precision variant compiles
-//! (retyping buffers or inserting casts adds no error, so every variant
-//! shares the verdict), and the `prescaler-verify` check runs it over the
-//! whole polybench suite and every precision variant of it, where zero
+//! The type checker answers "can this kernel run?" and reports the first
+//! violation. The verifier answers "is this kernel *well-formed*?": it
+//! collects every finding and classifies each one with a severity, so a
+//! runtime can refuse to compile genuinely broken kernels
+//! ([`Severity::Error`]) while merely reporting suspicious-but-runnable
+//! shapes ([`Severity::Warning`]). Both come from one walk of the kernel,
+//! the checker in [`crate::typeck`]; this module holds the diagnostics and
+//! the lint rules that walk applies, and bridges the type violation as a
+//! [`VerifyDiagnostic::TypeClash`] when no error reported before it.
+//! `ocl::Session`'s variant cache runs the verifier once per kernel,
+//! before the kernel's first precision variant compiles (retyping buffers
+//! or inserting casts adds no error, so every variant shares the
+//! verdict), and the `prescaler-verify` check runs it over the whole
+//! polybench suite and every precision variant of it, where zero
 //! diagnostics of any severity are expected.
 
-use crate::ast::{visit_expr, Expr, Kernel, Param, Program, Scopes, Stmt, TypeRef};
-use crate::typeck::check_kernel;
+use crate::ast::{visit_expr, Expr, Kernel, Program, Stmt};
+use crate::typeck::{walk, Findings};
 use crate::value::{FloatBinOp, UnaryFn};
 use core::fmt;
-use std::collections::{HashMap, HashSet};
 
 /// How bad a [`VerifyDiagnostic`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,8 +44,8 @@ pub enum VerifyDiagnostic {
         name: String,
     },
     /// The kernel violates the type system (the verifier bridges
-    /// [`check_kernel`] findings that no more specific diagnostic
-    /// explains).
+    /// [`check_kernel`](crate::typeck::check_kernel) findings that no
+    /// more specific diagnostic explains).
     TypeClash {
         /// Kernel name.
         kernel: String,
@@ -159,61 +161,27 @@ pub fn verify_program(program: &Program) -> Vec<VerifyDiagnostic> {
 /// Verifies one kernel, returning *all* findings (empty = clean).
 #[must_use]
 pub fn verify_kernel(kernel: &Kernel) -> Vec<VerifyDiagnostic> {
-    let mut v = Verifier {
-        kernel,
-        diagnostics: Vec::new(),
-        scopes: Scopes::new(),
-        used_params: HashSet::new(),
-    };
-    // Parameters can reference each other through `ElemOf` element
-    // types; that anchors the referenced buffer and counts as a use.
-    for p in &kernel.params {
-        if let Param::Scalar {
-            ty: TypeRef::ElemOf(buf),
-            ..
-        } = p
-        {
-            v.used_params.insert(buf.clone());
-        }
-    }
-    v.walk_block(&kernel.body);
-    for p in &kernel.params {
-        if !v.used_params.contains(p.name()) {
-            v.diagnostics.push(VerifyDiagnostic::UnusedParam {
-                kernel: kernel.name.clone(),
-                param: p.name().to_owned(),
-            });
-        }
-    }
-    // Bridge the type checker: anything it rejects that no structural
-    // diagnostic above already explains surfaces as a TypeClash, so the
-    // verifier never passes a kernel the compiler would refuse.
-    if let Err(e) = check_kernel(kernel) {
-        let already_fatal = v
-            .diagnostics
-            .iter()
-            .any(|d| d.severity() == Severity::Error);
-        if !already_fatal {
-            v.diagnostics.push(VerifyDiagnostic::TypeClash {
+    let Findings {
+        mut diagnostics,
+        violation,
+    } = walk(kernel);
+    // Bridge the type checker: a violation that no error above already
+    // explains surfaces as a TypeClash, so the verifier never passes a
+    // kernel the compiler would refuse.
+    if let Some(e) = violation {
+        if diagnostics.iter().all(|d| d.severity() != Severity::Error) {
+            diagnostics.push(VerifyDiagnostic::TypeClash {
                 kernel: kernel.name.clone(),
                 detail: e.to_string(),
             });
         }
     }
-    v.diagnostics
-}
-
-struct Verifier<'k> {
-    kernel: &'k Kernel,
-    diagnostics: Vec<VerifyDiagnostic>,
-    /// Lexical scopes of locals and loop variables.
-    scopes: Scopes<'k, ()>,
-    used_params: HashSet<String>,
+    diagnostics
 }
 
 /// Evaluates an integer-constant expression (literals and arithmetic on
 /// literals); `None` for anything runtime-dependent.
-fn const_int(e: &Expr) -> Option<i64> {
+pub(crate) fn const_int(e: &Expr) -> Option<i64> {
     match e {
         Expr::IntConst(v) => Some(*v),
         Expr::Unary {
@@ -231,195 +199,49 @@ fn const_int(e: &Expr) -> Option<i64> {
     }
 }
 
-impl<'k> Verifier<'k> {
-    fn diag(&mut self, d: VerifyDiagnostic) {
-        self.diagnostics.push(d);
-    }
-
-    fn name(&self) -> String {
-        self.kernel.name.clone()
-    }
-
-    fn bound(&self, name: &str) -> bool {
-        self.scopes.get(name).is_some()
-    }
-
-    fn declare(&mut self, name: &'k str) {
-        self.scopes.bind(name, ());
-    }
-
-    fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
-        self.scopes.push();
-        f(self);
-        self.scopes.pop();
-    }
-
-    fn walk_block(&mut self, stmts: &'k [Stmt]) {
-        // Straight-line dead-store scan: a pending store to a constant
-        // index dies if the same (buffer, index) is stored again before
-        // any read of that buffer. Control flow and dynamic indices
-        // conservatively clear the pending set.
-        let mut pending: HashMap<(String, i64), ()> = HashMap::new();
-        for s in stmts {
-            match s {
-                Stmt::Store { buf, index, value } => {
-                    // Reads inside the index or stored value — of any
-                    // buffer, not just the one being written — happen
-                    // before the write lands and keep earlier stores
-                    // to the read buffer alive.
-                    pending.retain(|(b, _), ()| {
-                        !self.reads_buffer(index, b) && !self.reads_buffer(value, b)
-                    });
-                    if let Some(i) = const_int(index) {
-                        if pending.insert((buf.clone(), i), ()).is_some() {
-                            self.diag(VerifyDiagnostic::DeadStore {
-                                kernel: self.name(),
-                                buf: buf.clone(),
-                                index: i,
-                            });
-                        }
-                    } else {
-                        // A dynamic store may alias any pending index.
-                        pending.retain(|(b, _), ()| b != buf);
-                    }
-                }
-                Stmt::Let { value, .. } | Stmt::Assign { value, .. } => {
-                    pending.retain(|(b, _), ()| !self.reads_buffer(value, b));
-                }
-                Stmt::For { .. } | Stmt::If { .. } => pending.clear(),
+/// One step of a block's straight-line dead-store scan: `pending` holds
+/// the block's earlier stores to constant indices that nothing has read
+/// since, and the result is the one `stmt` overwrites, if any. Control
+/// flow and dynamic indices conservatively clear `pending`.
+pub(crate) fn dead_store<'k>(
+    pending: &mut Vec<(&'k str, i64)>,
+    stmt: &'k Stmt,
+) -> Option<(&'k str, i64)> {
+    match stmt {
+        Stmt::Store { buf, index, value } => {
+            // Reads inside the index or stored value — of any buffer, not
+            // just the one being written — happen before the write lands
+            // and keep earlier stores to the read buffer alive.
+            pending.retain(|&(b, _)| !reads_buffer(index, b) && !reads_buffer(value, b));
+            let Some(i) = const_int(index) else {
+                // A dynamic store may alias any pending index.
+                pending.retain(|&(b, _)| b != buf);
+                return None;
+            };
+            if pending.contains(&(buf.as_str(), i)) {
+                return Some((buf, i));
             }
-            self.walk_stmt(s);
+            pending.push((buf, i));
         }
+        Stmt::Let { value, .. } | Stmt::Assign { value, .. } => {
+            pending.retain(|&(b, _)| !reads_buffer(value, b));
+        }
+        Stmt::For { .. } | Stmt::If { .. } => pending.clear(),
     }
+    None
+}
 
-    /// Whether evaluating `e` loads from buffer `buf`.
-    fn reads_buffer(&self, e: &Expr, buf: &str) -> bool {
-        let mut found = false;
-        visit_expr(e, &mut |x| {
-            if let Expr::Load { buf: b, .. } = x {
-                if b == buf {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-
-    fn walk_stmt(&mut self, stmt: &'k Stmt) {
-        match stmt {
-            Stmt::Let { name, ty, value } => {
-                if let Some(TypeRef::ElemOf(buf)) = ty {
-                    self.used_params.insert(buf.clone());
-                }
-                self.walk_expr(value);
-                self.declare(name);
-            }
-            Stmt::Assign { name, value } => {
-                self.walk_expr(value);
-                if !self.bound(name) && self.kernel.param(name).is_none() {
-                    self.diag(VerifyDiagnostic::UnboundVar {
-                        kernel: self.name(),
-                        name: name.clone(),
-                    });
-                }
-            }
-            Stmt::Store { buf, index, value } => {
-                match self.kernel.param(buf) {
-                    Some(Param::Buffer { .. }) => {
-                        self.used_params.insert(buf.clone());
-                        if let Some(i) = const_int(index) {
-                            if i < 0 {
-                                self.diag(VerifyDiagnostic::OobConstIndex {
-                                    kernel: self.name(),
-                                    buf: buf.clone(),
-                                    index: i,
-                                });
-                            }
-                        }
-                    }
-                    _ => self.diag(VerifyDiagnostic::NonBufferStore {
-                        kernel: self.name(),
-                        name: buf.clone(),
-                    }),
-                }
-                self.walk_expr(index);
-                self.walk_expr(value);
-            }
-            Stmt::For {
-                var,
-                start,
-                end,
-                body,
-            } => {
-                self.walk_expr(start);
-                self.walk_expr(end);
-                self.scoped(|v| {
-                    v.declare(var);
-                    v.walk_block(body);
-                });
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.walk_expr(cond);
-                self.scoped(|v| v.walk_block(then_body));
-                self.scoped(|v| v.walk_block(else_body));
+/// Whether evaluating `e` loads from buffer `buf`.
+fn reads_buffer(e: &Expr, buf: &str) -> bool {
+    let mut found = false;
+    visit_expr(e, &mut |x| {
+        if let Expr::Load { buf: b, .. } = x {
+            if b == buf {
+                found = true;
             }
         }
-    }
-
-    fn walk_expr(&mut self, e: &Expr) {
-        let mut unbound: Vec<String> = Vec::new();
-        let mut oob: Vec<(String, i64)> = Vec::new();
-        visit_expr(e, &mut |x| match x {
-            Expr::Var(name) => {
-                if self.bound(name) {
-                    return;
-                }
-                match self.kernel.param(name.as_str()) {
-                    Some(_) => {
-                        // Both scalar use and (invalid) buffer-as-scalar
-                        // use reference the parameter; the latter also
-                        // trips the TypeClash bridge.
-                        self.used_params.insert(name.clone());
-                    }
-                    None => unbound.push(name.clone()),
-                }
-            }
-            Expr::Load { buf, index } => {
-                if self.kernel.param(buf.as_str()).is_some() {
-                    self.used_params.insert(buf.clone());
-                }
-                if let Some(i) = const_int(index) {
-                    if i < 0 {
-                        oob.push((buf.clone(), i));
-                    }
-                }
-            }
-            Expr::Cast {
-                to: TypeRef::ElemOf(buf),
-                ..
-            } => {
-                self.used_params.insert(buf.clone());
-            }
-            _ => {}
-        });
-        for name in unbound {
-            self.diag(VerifyDiagnostic::UnboundVar {
-                kernel: self.name(),
-                name,
-            });
-        }
-        for (buf, index) in oob {
-            self.diag(VerifyDiagnostic::OobConstIndex {
-                kernel: self.name(),
-                buf,
-                index,
-            });
-        }
-    }
+    });
+    found
 }
 
 #[cfg(test)]

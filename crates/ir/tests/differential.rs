@@ -18,6 +18,13 @@
 //! verdict and verification; and compiling a kernel straight from the
 //! retyping's buffer precisions must give the retyped kernel's bytecode.
 //!
+//! Each case also derives one seeded ill-formed mutant: an unbound name, a
+//! float index, a store through a scalar, a negative constant index or a
+//! duplicated `let`. No checker or engine may panic on it; when the type
+//! checker refuses it the verifier must report an error, and when the
+//! type checker accepts it both engines must run it alike, errors
+//! included. Each branch must occur in at least a sixteenth of the cases.
+//!
 //! The CI fault matrix re-runs the suite under several values of
 //! `PRESCALER_FAULT_SEED`, which is mixed into both generator seeds;
 //! unset, the suite generates the fixed seeds' cases.
@@ -808,6 +815,200 @@ fn check_variants_share_the_kernels_analyses(
     );
 }
 
+/// An ill-formed rewrite of one site of a generated kernel.
+#[derive(Clone, Copy, Debug)]
+enum Defect {
+    /// An expression becomes a name nothing binds.
+    UnboundName,
+    /// A load or store index becomes a float.
+    FloatIndex,
+    /// A store targets the scalar parameter `n`.
+    ScalarStore,
+    /// A load or store index becomes a negative constant.
+    NegativeIndex,
+    /// A `let` repeats in its own scope.
+    DuplicateLet,
+}
+
+const DEFECTS: [Defect; 5] = [
+    Defect::UnboundName,
+    Defect::FloatIndex,
+    Defect::ScalarStore,
+    Defect::NegativeIndex,
+    Defect::DuplicateLet,
+];
+
+/// Calls `f` on `stmts` and then on every nested loop and branch body.
+fn for_each_block(stmts: &mut Vec<Stmt>, f: &mut dyn FnMut(&mut Vec<Stmt>)) {
+    f(stmts);
+    for s in stmts {
+        match s {
+            Stmt::For { body, .. } => for_each_block(body, f),
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                for_each_block(then_body, f);
+                for_each_block(else_body, f);
+            }
+            Stmt::Let { .. } | Stmt::Assign { .. } | Stmt::Store { .. } => {}
+        }
+    }
+}
+
+/// Calls `f` on every expression of `stmts`, each before its operands.
+fn for_each_expr(stmts: &mut Vec<Stmt>, f: &mut dyn FnMut(&mut Expr)) {
+    fn walk(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
+        f(e);
+        match e {
+            Expr::FloatConst(_) | Expr::IntConst(_) | Expr::Var(_) | Expr::GlobalId(_) => {}
+            Expr::Load { index, .. } => walk(index, f),
+            Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => walk(arg, f),
+            Expr::Bin { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
+                walk(lhs, f);
+                walk(rhs, f);
+            }
+            Expr::Select { cond, then, els } => {
+                walk(cond, f);
+                walk(then, f);
+                walk(els, f);
+            }
+        }
+    }
+    for_each_block(stmts, &mut |block| {
+        for s in block {
+            match s {
+                Stmt::Let { value, .. } | Stmt::Assign { value, .. } => walk(value, f),
+                Stmt::Store { index, value, .. } => {
+                    walk(index, f);
+                    walk(value, f);
+                }
+                Stmt::For { start, end, .. } => {
+                    walk(start, f);
+                    walk(end, f);
+                }
+                Stmt::If { cond, .. } => walk(cond, f),
+            }
+        }
+    });
+}
+
+/// Rewrites each site of `body` where `defect` applies and `pick`
+/// returns true; `pick` is asked once per site, in program order.
+fn rewrite_sites(body: &mut Vec<Stmt>, defect: Defect, pick: &mut dyn FnMut() -> bool) {
+    let bad_index = match defect {
+        Defect::FloatIndex => flit(1.5),
+        _ => int(-2),
+    };
+    match defect {
+        Defect::UnboundName => for_each_expr(body, &mut |e| {
+            if pick() {
+                *e = var("ghost");
+            }
+        }),
+        Defect::FloatIndex | Defect::NegativeIndex => {
+            for_each_block(body, &mut |block| {
+                for s in block {
+                    if let Stmt::Store { index, .. } = s {
+                        if pick() {
+                            *index = bad_index.clone();
+                        }
+                    }
+                }
+            });
+            for_each_expr(body, &mut |e| {
+                if let Expr::Load { index, .. } = e {
+                    if pick() {
+                        **index = bad_index.clone();
+                    }
+                }
+            });
+        }
+        Defect::ScalarStore => for_each_block(body, &mut |block| {
+            for s in block {
+                if let Stmt::Store { buf, .. } = s {
+                    if pick() {
+                        *buf = "n".into();
+                    }
+                }
+            }
+        }),
+        Defect::DuplicateLet => for_each_block(body, &mut |block| {
+            let mut i = 0;
+            while i < block.len() {
+                if matches!(block[i], Stmt::Let { .. }) && pick() {
+                    block.insert(i + 1, block[i].clone());
+                    i += 1;
+                }
+                i += 1;
+            }
+        }),
+    }
+}
+
+/// `k` with one seeded defect at one seeded site: an unbound name where
+/// the drawn defect has no site in `k`.
+fn mutant(k: &Kernel, rng: &mut TestRng) -> (Defect, Kernel) {
+    let sites = |defect| {
+        let mut n = 0u64;
+        rewrite_sites(&mut k.body.clone(), defect, &mut || {
+            n += 1;
+            false
+        });
+        n
+    };
+    let mut defect = DEFECTS[rng.below(DEFECTS.len() as u64) as usize];
+    if sites(defect) == 0 {
+        defect = Defect::UnboundName;
+    }
+    let chosen = rng.below(sites(defect));
+    let mut out = k.clone();
+    let mut site = 0u64;
+    rewrite_sites(&mut out.body, defect, &mut || {
+        site += 1;
+        site - 1 == chosen
+    });
+    (defect, out)
+}
+
+/// Checks an ill-formed mutant of `case`'s kernel, and reports whether
+/// the type checker accepted it. No checker or engine may panic on it; a
+/// refused mutant must draw an Error-severity diagnostic, which the
+/// session gate relies on; an accepted one runs alike in both engines,
+/// errors and partial writes included.
+fn check_mutant(case: &Case, defect: Defect, m: &Kernel, scratch: &mut VmScratch) -> bool {
+    let checked = check_kernel(m);
+    let errors = verifier_errors(m);
+    let launch = case.launch();
+    let mut want = case.buffers();
+    let interp = run_kernel(m, &mut want, &launch);
+    let compiled = compile_kernel(m);
+    let shown = kernel_to_string(m);
+    match checked {
+        Err(e) => {
+            assert!(
+                !errors.is_empty(),
+                "{defect:?}: refused ({e}) without a verifier error\n{shown}"
+            );
+            if let Ok(compiled) = compiled {
+                let _ = compiled.run_with_scratch(&mut case.buffers(), &launch, scratch);
+            }
+            false
+        }
+        Ok(()) => {
+            let compiled = compiled.expect("well-typed kernels compile");
+            for threads in [1usize, 8] {
+                let mut got = case.buffers();
+                let vm = compiled.run_parallel(&mut got, &launch, scratch, threads);
+                assert_eq!(vm, interp, "{defect:?} at {threads} threads\n{shown}");
+                assert_same_bits(&want, &got, &format!("{defect:?} at {threads} threads"), m);
+            }
+            true
+        }
+    }
+}
+
 /// The CI matrix seed from `PRESCALER_FAULT_SEED`, 0 when unset.
 fn matrix_seed() -> u64 {
     std::env::var("PRESCALER_FAULT_SEED")
@@ -829,8 +1030,11 @@ fn engines_and_analysis_agree_on_random_kernels() {
     // Precision maps draw from a stream of their own, so drawing them
     // does not change which kernels the fixed seed generates.
     let mut maps = TestRng::new(seed("differential::precision_maps"));
+    // So do the mutants.
+    let mut mutants = TestRng::new(seed("differential::mutants"));
     let mut scratch = VmScratch::new();
     let (mut lockstep, mut chunked, mut dot) = (0usize, 0usize, 0usize);
+    let mut accepted = 0usize;
     for case_no in 0..CASES {
         let case = strategy.generate(&mut rng);
         let _note = CaseNote(case_no);
@@ -841,16 +1045,23 @@ fn engines_and_analysis_agree_on_random_kernels() {
         lockstep += usize::from(ran.lockstep);
         chunked += usize::from(ran.chunked);
         dot += usize::from(ran.lockstep_dot);
+        let (defect, m) = mutant(&case.kernel, &mut mutants);
+        accepted += usize::from(check_mutant(&case, defect, &m, &mut scratch));
     }
     let ran = format!(
         "lock step ran on {lockstep}, chunks on {chunked} and lock-step dot loops on {dot} \
-         of {CASES} cases"
+         of {CASES} cases; the checker accepted {accepted} of their mutants"
     );
     println!("{ran}");
     // Every non-sequential executor must really run on a good share of
-    // the cases, or the agreement above says nothing about it.
+    // the cases, or the agreement above says nothing about it; so must
+    // each branch of the mutant check.
     assert!(
         lockstep * 5 >= CASES && chunked * 8 >= CASES && dot * 32 >= CASES,
+        "{ran}"
+    );
+    assert!(
+        accepted * 16 >= CASES && (CASES - accepted) * 16 >= CASES,
         "{ran}"
     );
 }

@@ -14,9 +14,8 @@
 //! casts adds no verifier error and changes no verdict. So each kernel is
 //! verified once, on its first miss, and proved once, when the cache is
 //! built, and every variant shares both. A kernel that fails verification
-//! fails under every key in every session that launches it, even where a
-//! compute map would make its cast variant clean; debug builds re-verify
-//! each variant they compile and check that it passes too.
+//! fails under every key in every session that launches it; debug builds
+//! re-verify each variant they compile and check that it passes too.
 
 use crate::error::OclError;
 use prescaler_ir::analysis::parallel_safety;
@@ -381,9 +380,8 @@ mod tests {
 
     #[test]
     fn a_compute_map_cannot_hide_a_verifier_error() {
-        // `ghost` names no buffer, so the cast dangles. A compute map
-        // naming `ghost` makes the cast variant's type concrete, and that
-        // variant clean, but the verdict is the kernel's.
+        // `ghost` names no buffer, so the cast dangles, and a compute map
+        // naming `ghost` leaves it dangling: the verdict is the kernel's.
         let program = Program::new("ghost").with_kernel(
             kernel("ghost")
                 .buffer("y", Precision::Double, Access::Write)

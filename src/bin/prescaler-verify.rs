@@ -9,7 +9,11 @@
 //! declared kernel and lets every variant share the verdict, which the
 //! variant checks back. Then sanity-checks the verifier itself against a
 //! matrix of deliberately broken kernels, each of which must produce its
-//! specific typed diagnostic. Exits nonzero on any violation.
+//! specific typed diagnostic, and gates the rule that a session's
+//! `OclError::Verify` message depends on: a type violation surfaces as a
+//! `TypeClash` carrying the type checker's error text, and only when no
+//! error-severity diagnostic came before it. Exits nonzero on any
+//! violation.
 //!
 //! ```text
 //! cargo run --release --bin prescaler-verify
@@ -17,10 +21,11 @@
 
 use prescaler_ir::ast::{Access, Stmt};
 use prescaler_ir::dsl::{
-    flit, for_, global_id, if_, int, kernel, let_, load, lt, store, var, KernelBuilder,
+    assign, flit, for_, global_id, if_, int, kernel, let_, load, lt, store, var, KernelBuilder,
 };
 use prescaler_ir::passes::{insert_casts, retype_buffers};
-use prescaler_ir::{verify_kernel, Kernel, Param, Precision, VerifyDiagnostic};
+use prescaler_ir::typeck::check_kernel;
+use prescaler_ir::{verify_kernel, Expr, Kernel, Param, Precision, VerifyDiagnostic};
 use prescaler_ocl::HostApp;
 use prescaler_polybench::{BenchKind, PolyApp};
 use std::collections::HashMap;
@@ -68,6 +73,16 @@ fn use_all() -> Vec<Stmt> {
             vec![store("c", var("i"), load("a", var("i")) + flit(1.0))],
         ),
     ]
+}
+
+/// Whether every `TypeClash` among `k`'s diagnostics `ds` carries the
+/// type checker's error text for `k`.
+fn clashes_carry_the_checkers_text(k: &Kernel, ds: &[VerifyDiagnostic]) -> bool {
+    let checked = check_kernel(k).err().map(|e| e.to_string());
+    ds.iter().all(|d| match d {
+        VerifyDiagnostic::TypeClash { detail, .. } => checked.as_ref() == Some(detail),
+        _ => true,
+    })
 }
 
 fn main() {
@@ -166,6 +181,27 @@ fn main() {
                 println!("FAIL rejects  {label}: expected diagnostic missing in {ds:?}");
             }
         }
+        if !clashes_carry_the_checkers_text(broken, &ds) {
+            failures += 1;
+            println!("FAIL rejects  {label}: a type clash differs from the type checker's error");
+        }
+    }
+
+    // Part 3: a type violation surfaces only when no error came before
+    // it, so an unbound name masks a later float loop bound.
+    let masked = with(vec![
+        assign("ghost", flit(1.0)),
+        for_("j", int(0), Expr::FloatConst(4.0), vec![]),
+    ]);
+    let ds = verify_kernel(&masked);
+    if matches!(ds.as_slice(), [VerifyDiagnostic::UnboundVar { name, .. }] if name == "ghost") {
+        println!(
+            "ok   masks    float loop bound behind an unbound name: {}",
+            ds[0]
+        );
+    } else {
+        failures += 1;
+        println!("FAIL masks    float loop bound behind an unbound name: got {ds:?}");
     }
 
     println!(

@@ -9,12 +9,12 @@
 //! under several values of `PRESCALER_FAULT_SEED` so the guarantee holds
 //! per fault universe, not just on the clean path.
 //!
-//! Alongside ride the pass-preservation properties the analysis assumes:
-//! `const_fold` and `insert_casts` (at the identity compute precision)
-//! leave every benchmark's outputs bit-identical.
+//! Alongside rides the pass-preservation property the analysis assumes:
+//! `insert_casts` at the identity compute precision leaves every
+//! benchmark's outputs bit-identical.
 
 use prescaler_core::{profile_app, PreScaler, SystemInspector, TrialEngine, Tuned};
-use prescaler_ir::passes::{const_fold, insert_casts};
+use prescaler_ir::passes::insert_casts;
 use prescaler_ir::{Kernel, Program};
 use prescaler_ocl::{HostApp, ScalingSpec, Session};
 use prescaler_polybench::{BenchKind, InputSet, PolyApp};
@@ -132,7 +132,7 @@ fn random_inputs_prune_nothing_and_stay_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Pass-preservation properties.
+// Pass-preservation property.
 // ---------------------------------------------------------------------
 
 fn transform_program(program: &Program, f: impl Fn(&Kernel) -> Kernel) -> Program {
@@ -146,23 +146,10 @@ fn run_program(app: &PolyApp, program: Program) -> prescaler_ocl::Outputs {
     app.run(&mut session).expect("benchmark runs")
 }
 
-fn assert_outputs_identical(app: &PolyApp, what: &str) {
+/// Asserts that `transformed`, the output of pass `what` on `app`'s
+/// program, computes `app`'s outputs bit-identically.
+fn assert_outputs_identical(app: &PolyApp, what: &str, transformed: Program) {
     let base = run_program(app, app.program());
-    let transformed = match what {
-        "const_fold" => transform_program(&app.program(), const_fold),
-        "insert_casts" => transform_program(&app.program(), |k| {
-            // The identity compute map: every buffer computes at its own
-            // element precision. The pass still concretizes every
-            // `ElemOf` type, so this exercises the whole rewrite.
-            let compute: HashMap<_, _> = k
-                .buffer_names()
-                .iter()
-                .map(|b| ((*b).to_owned(), k.buffer_elem(b).expect("buffer typed")))
-                .collect();
-            insert_casts(k, &compute)
-        }),
-        other => panic!("unknown pass {other}"),
-    };
     let out = run_program(app, transformed);
     assert_eq!(base.len(), out.len());
     for ((n1, d1), (n2, d2)) in base.iter().zip(&out) {
@@ -180,22 +167,20 @@ fn assert_outputs_identical(app: &PolyApp, what: &str) {
 }
 
 #[test]
-fn const_fold_preserves_every_benchmark_bit_identically() {
-    for kind in BenchKind::ALL {
-        let app = PolyApp::tiny(kind);
-        assert_outputs_identical(&app, "const_fold");
-        // Folding is idempotent: a second pass finds nothing left.
-        for k in &app.program().kernels {
-            let once = const_fold(k);
-            assert_eq!(const_fold(&once), once, "{}: fold not a fixpoint", k.name);
-        }
-    }
-}
-
-#[test]
 fn insert_casts_at_identity_precision_preserves_every_benchmark() {
     for kind in BenchKind::ALL {
         let app = PolyApp::tiny(kind);
-        assert_outputs_identical(&app, "insert_casts");
+        let cast = transform_program(&app.program(), |k| {
+            // The identity compute map: every buffer computes at its own
+            // element precision. The pass still concretizes every
+            // `ElemOf` type, so this exercises the whole rewrite.
+            let compute: HashMap<_, _> = k
+                .buffer_names()
+                .iter()
+                .map(|b| ((*b).to_owned(), k.buffer_elem(b).expect("buffer typed")))
+                .collect();
+            insert_casts(k, &compute)
+        });
+        assert_outputs_identical(&app, "insert_casts", cast);
     }
 }
