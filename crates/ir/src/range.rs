@@ -381,14 +381,8 @@ impl AVal {
     }
 }
 
-/// A recorded scalar launch argument.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ScalarBound {
-    /// An exactly-known integer argument.
-    Int(i64),
-    /// An exactly-known float argument.
-    Float(f64),
-}
+/// A recorded scalar launch argument: the value the host passed.
+pub use crate::interp::ArgValue as ScalarBound;
 
 /// Everything known about one launch before it runs: per-buffer element
 /// distributions, scalar arguments, and the NDRange.

@@ -97,8 +97,6 @@ enum Op {
         a: IReg,
         b: IReg,
     },
-    /// `i[dst] = i[a] + imm` (loop bookkeeping).
-    IAddImm { dst: IReg, a: IReg, imm: i64 },
     /// Integer negate / abs.
     IUn { op: UnaryFn, dst: IReg, a: IReg },
     /// Integer comparison → 0/1.
@@ -159,25 +157,19 @@ enum Op {
     /// End of the work-item.
     Halt,
     // ------------------------------------------------------------------
-    // Fused superinstructions, produced only by the peephole pass. Each
-    // is the exact composition of the ops it replaces — same values,
-    // same error behaviour — collapsing the dispatch count of hot loops.
+    // Fused superinstructions, emitted by the compiler where it makes the
+    // last op of the sequence each replaces. Each is the exact composition
+    // of that sequence — same values, same error behaviour — collapsing
+    // the dispatch count of hot loops.
     // ------------------------------------------------------------------
-    /// `ICmp` + `JumpIfFalse` on its (otherwise dead) result.
+    /// A loop head: `ICmp` + `JumpIfFalse` on its result.
     JumpICmpFalse {
         op: CmpOp,
         a: IReg,
         b: IReg,
         target: u32,
     },
-    /// `FCmp` + `JumpIfFalse` on its (otherwise dead) result.
-    JumpFCmpFalse {
-        op: CmpOp,
-        a: FReg,
-        b: FReg,
-        target: u32,
-    },
-    /// Loop back-edge: `IAddImm` + `Jump` (increment, then jump).
+    /// A loop back-edge: `i[dst] = i[a] + imm` (wrapping), then jump.
     IAddImmJump {
         dst: IReg,
         a: IReg,
@@ -208,8 +200,7 @@ enum Op {
     /// plus an optional `Cvt` of the sum); the operands live in
     /// `dot_table[idx]` so `Op` stays compact.
     DotStep { idx: u32 },
-    /// `Count` folded into the loop back-edge `IAddImmJump` (the
-    /// increment fits in an `i32` whenever this fires).
+    /// `Count` folded into the loop back-edge `IAddImmJump`.
     CountAddJump {
         idx: u32,
         dst: IReg,
@@ -375,6 +366,13 @@ impl Val {
             Val::I(_) => unreachable!("checked: expected a float value"),
         }
     }
+
+    /// The register, of either kind.
+    fn reg(self) -> u32 {
+        match self {
+            Val::I(r) | Val::F(r) => r,
+        }
+    }
 }
 
 /// Compiles a kernel to bytecode.
@@ -451,10 +449,13 @@ pub fn compile_with_safety(
         buffers,
         ops: Vec::new(),
         counts_table: Vec::new(),
+        dot_table: Vec::new(),
+        loop_table: Vec::new(),
         pending: OpCounts::new(),
         scopes: Scopes::new(),
         next_i: 2, // iregs 0/1 are get_global_id(0)/(1)
         next_f: 0,
+        mark: (2, 0),
         params: Vec::new(),
         buf_index: HashMap::new(),
         int_pool: Vec::new(),
@@ -515,14 +516,12 @@ pub fn compile_with_safety(
     c.flush();
     c.ops.push(Op::Halt);
 
-    let mut tables = FusionTables::default();
-    let ops = peephole(c.ops, c.next_i, c.next_f, &mut tables);
     Ok(CompiledKernel {
         name: kernel.name.clone(),
-        ops,
+        ops: c.ops,
         counts_table: c.counts_table,
-        dot_table: tables.dot,
-        loop_table: tables.loops,
+        dot_table: c.dot_table,
+        loop_table: c.loop_table,
         int_pool: c.int_pool,
         float_pool: c.float_pool,
         params: c.params,
@@ -534,6 +533,14 @@ pub fn compile_with_safety(
     })
 }
 
+/// Compiles a kernel in one pass. Each superinstruction is emitted where
+/// the compiler makes the last op of the sequence it replaces, by
+/// rewriting the ops just emitted. A fusion consumes only temporaries the
+/// current statement allocated, each read once, by the op being made:
+/// never a variable's register (a later op may read it) and never a pool
+/// register (no op writes one). Jump targets sit only at statement
+/// boundaries, so no fused group contains one. Consumed temporaries keep
+/// their numbers, unwritten.
 struct Compiler<'k> {
     kernel: &'k Kernel,
     /// The variant's element precision of each buffer parameter, in
@@ -541,10 +548,16 @@ struct Compiler<'k> {
     buffers: &'k [Precision],
     ops: Vec<Op>,
     counts_table: Vec<OpCounts>,
+    dot_table: Vec<DotStepArgs>,
+    loop_table: Vec<DotLoopArgs>,
     pending: OpCounts,
     scopes: Scopes<'k, (Val, ScalarType)>,
     next_i: u32,
     next_f: u32,
+    /// The first integer and float registers the current statement
+    /// allocated: registers from here on are its temporaries, until it
+    /// binds a variable (which it does after its last fusion).
+    mark: (IReg, FReg),
     params: Vec<ParamBind>,
     buf_index: HashMap<String, u16>,
     int_pool: Vec<(IReg, i64)>,
@@ -620,15 +633,23 @@ impl<'k> Compiler<'k> {
             .ok_or_else(|| ExecError::UnboundVar(name.to_owned()))
     }
 
-    /// Flushes the pending straight-line counts as a `Count` op.
-    fn flush(&mut self) {
+    /// Moves the pending straight-line counts into the count table, and
+    /// returns their index unless there are none.
+    fn take_counts(&mut self) -> Option<u32> {
         if self.pending == OpCounts::new() {
-            return;
+            return None;
         }
         let idx = self.counts_table.len() as u32;
         self.counts_table.push(self.pending);
         self.pending = OpCounts::new();
-        self.ops.push(Op::Count { idx });
+        Some(idx)
+    }
+
+    /// Flushes the pending straight-line counts as a `Count` op.
+    fn flush(&mut self) {
+        if let Some(idx) = self.take_counts() {
+            self.ops.push(Op::Count { idx });
+        }
     }
 
     fn here(&self) -> u32 {
@@ -637,9 +658,165 @@ impl<'k> Compiler<'k> {
 
     fn patch_jump(&mut self, at: usize, target: u32) {
         match &mut self.ops[at] {
-            Op::Jump(t) => *t = target,
-            Op::JumpIfFalse { target: t, .. } => *t = target,
+            Op::Jump(t)
+            | Op::JumpIfFalse { target: t, .. }
+            | Op::JumpICmpFalse { target: t, .. } => *t = target,
             other => unreachable!("patching a non-jump {other:?}"),
+        }
+    }
+
+    /// Whether `v` is a temporary of the current statement.
+    fn is_temp(&self, v: Val) -> bool {
+        match v {
+            Val::I(r) => r >= self.mark.0,
+            Val::F(r) => r >= self.mark.1,
+        }
+    }
+
+    /// Copies `src` into `dst`, registers of one kind. When `src` is a
+    /// temporary the last op just wrote, that op writes `dst` instead,
+    /// unless it is a `LoadMulAdd`, which only ever writes a temporary.
+    fn mov(&mut self, dst: Val, src: Val) {
+        if self.is_temp(src) {
+            let written = match (self.ops.last_mut(), src) {
+                (Some(Op::DotStep { idx }), Val::F(_)) => {
+                    Some(&mut self.dot_table[*idx as usize].dst)
+                }
+                (
+                    Some(
+                        Op::IBin { dst, .. }
+                        | Op::IUn { dst, .. }
+                        | Op::ICmp { dst, .. }
+                        | Op::FCmp { dst, .. }
+                        | Op::FToI { dst, .. }
+                        | Op::SelectI { dst, .. },
+                    ),
+                    Val::I(_),
+                )
+                | (
+                    Some(
+                        Op::FBin { dst, .. }
+                        | Op::FUn { dst, .. }
+                        | Op::Cvt { dst, .. }
+                        | Op::IToF { dst, .. }
+                        | Op::Load { dst, .. }
+                        | Op::SelectF { dst, .. }
+                        | Op::FMulAcc { dst, .. },
+                    ),
+                    Val::F(_),
+                ) => Some(dst),
+                _ => None,
+            };
+            if let Some(written) = written.filter(|w| **w == src.reg()) {
+                *written = dst.reg();
+                return;
+            }
+        }
+        self.ops.push(match (dst, src) {
+            (Val::I(dst), Val::I(src)) => Op::IMov { dst, src },
+            (Val::F(dst), Val::F(src)) => Op::FMov { dst, src },
+            _ => unreachable!("copies keep their kind"),
+        });
+    }
+
+    /// `f[dst] = buffers[buf][i[idx]]`: a `LoadMulAdd` when the last two
+    /// ops computed the index as `a*b + c` into temporaries.
+    fn load(&mut self, buf: u16, idx: IReg, dst: FReg) -> Op {
+        if let [.., Op::IBin {
+            op: FloatBinOp::Mul,
+            dst: t,
+            a,
+            b,
+        }, Op::IBin {
+            op: FloatBinOp::Add,
+            dst: sum,
+            a: x,
+            b: y,
+        }] = self.ops[..]
+        {
+            if sum == idx
+                && (x == t || y == t)
+                && self.is_temp(Val::I(t))
+                && self.is_temp(Val::I(sum))
+            {
+                self.ops.truncate(self.ops.len() - 2);
+                // Wrapping add commutes, so either operand slot works.
+                let c = if x == t { y } else { x };
+                return Op::LoadMulAdd { buf, a, b, c, dst };
+            }
+        }
+        Op::Load { buf, idx, dst }
+    }
+
+    /// `f[dst] = f[a] op f[b]` at `prec`. A `+` whose right operand is
+    /// the product the last op computed into a temporary is an `FMulAcc`,
+    /// keeping both roundings; and a `DotStep` when the product's
+    /// operands, in order, are the temporaries the two `LoadMulAdd`s
+    /// before it loaded.
+    fn fbin(&mut self, prec: Precision, op: FloatBinOp, dst: FReg, a: FReg, b: FReg) -> Op {
+        let unfused = Op::FBin {
+            prec,
+            op,
+            dst,
+            a,
+            b,
+        };
+        let Some(&Op::FBin {
+            prec: pm,
+            op: FloatBinOp::Mul,
+            dst: t,
+            a: x,
+            b: y,
+        }) = self.ops.last()
+        else {
+            return unfused;
+        };
+        if op != FloatBinOp::Add || t != b || !self.is_temp(Val::F(t)) {
+            return unfused;
+        }
+        self.ops.pop();
+        if let [.., Op::LoadMulAdd {
+            buf: buf1,
+            a: a1,
+            b: b1,
+            c: c1,
+            dst: t1,
+        }, Op::LoadMulAdd {
+            buf: buf2,
+            a: a2,
+            b: b2,
+            c: c2,
+            dst: t2,
+        }] = self.ops[..]
+        {
+            if (t1, t2) == (x, y) && self.is_temp(Val::F(t1)) && self.is_temp(Val::F(t2)) {
+                self.ops.truncate(self.ops.len() - 2);
+                let idx = self.dot_table.len() as u32;
+                self.dot_table.push(DotStepArgs {
+                    pm,
+                    pa: prec,
+                    post: Precision::Double,
+                    dst,
+                    acc: a,
+                    buf1,
+                    a1,
+                    b1,
+                    c1,
+                    buf2,
+                    a2,
+                    b2,
+                    c2,
+                });
+                return Op::DotStep { idx };
+            }
+        }
+        Op::FMulAcc {
+            pm,
+            pa: prec,
+            dst,
+            acc: a,
+            a: x,
+            b: y,
         }
     }
 
@@ -661,6 +838,7 @@ impl<'k> Compiler<'k> {
     }
 
     fn stmt(&mut self, stmt: &'k Stmt) -> Result<(), ExecError> {
+        self.mark = (self.next_i, self.next_f);
         match stmt {
             Stmt::Let { name, ty, value } => {
                 let declared = match ty {
@@ -673,17 +851,10 @@ impl<'k> Compiler<'k> {
                 }
                 // Copy into a dedicated register so reassignment works.
                 let slot = match v {
-                    Val::I(src) => {
-                        let dst = self.alloc_i();
-                        self.ops.push(Op::IMov { dst, src });
-                        Val::I(dst)
-                    }
-                    Val::F(src) => {
-                        let dst = self.alloc_f();
-                        self.ops.push(Op::FMov { dst, src });
-                        Val::F(dst)
-                    }
+                    Val::I(_) => Val::I(self.alloc_i()),
+                    Val::F(_) => Val::F(self.alloc_f()),
                 };
+                self.mov(slot, v);
                 self.scopes.bind(name, (slot, t));
             }
             Stmt::Assign { name, value } => {
@@ -691,15 +862,12 @@ impl<'k> Compiler<'k> {
                 let hint = t.precision();
                 let (v, vt) = self.expr(value, hint)?;
                 let (v, _) = self.coerce(v, vt, t);
-                match (slot, v) {
-                    (Val::I(dst), Val::I(src)) => self.ops.push(Op::IMov { dst, src }),
-                    (Val::F(dst), Val::F(src)) => self.ops.push(Op::FMov { dst, src }),
-                    _ => {
-                        return Err(ExecError::KindError(format!(
-                            "assignment changes the kind of `{name}`"
-                        )));
-                    }
+                if matches!(slot, Val::I(_)) != matches!(v, Val::I(_)) {
+                    return Err(ExecError::KindError(format!(
+                        "assignment changes the kind of `{name}`"
+                    )));
                 }
+                self.mov(slot, v);
             }
             Stmt::Store { buf, index, value } => {
                 let Some(elem) = self.buffer_elem(buf) else {
@@ -750,27 +918,19 @@ impl<'k> Compiler<'k> {
                         "loop bound for `{var}` must be an integer"
                     )));
                 }
-                let s = sv.ireg();
                 let e = ev.ireg();
-                // Copy the end bound: it must stay stable even if its
-                // source register is reused (it is not, but be explicit).
                 let var_reg = self.alloc_i();
-                self.ops.push(Op::IMov {
-                    dst: var_reg,
-                    src: s,
-                });
+                self.mov(Val::I(var_reg), sv);
                 self.flush();
                 let head = self.here();
-                let cond = self.alloc_i();
-                self.ops.push(Op::ICmp {
+                // The compare's result register: fused into the branch, it
+                // keeps its number like every consumed temporary.
+                self.alloc_i();
+                let exit_jump = self.ops.len();
+                self.ops.push(Op::JumpICmpFalse {
                     op: CmpOp::Lt,
-                    dst: cond,
                     a: var_reg,
                     b: e,
-                });
-                let exit_jump = self.ops.len();
-                self.ops.push(Op::JumpIfFalse {
-                    cond,
                     target: u32::MAX,
                 });
                 // Per-iteration loop bookkeeping (compare + increment).
@@ -779,15 +939,27 @@ impl<'k> Compiler<'k> {
                     c.scopes.bind(var, (Val::I(var_reg), ScalarType::Int));
                     c.block(body)
                 })?;
-                self.flush();
-                self.ops.push(Op::IAddImm {
-                    dst: var_reg,
-                    a: var_reg,
-                    imm: 1,
-                });
-                self.ops.push(Op::Jump(head));
-                let after = self.here();
-                self.patch_jump(exit_jump, after);
+                // The back-edge carries the body's last count site.
+                let back_edge = match self.take_counts() {
+                    Some(idx) => Op::CountAddJump {
+                        idx,
+                        dst: var_reg,
+                        a: var_reg,
+                        imm: 1,
+                        target: head,
+                    },
+                    None => Op::IAddImmJump {
+                        dst: var_reg,
+                        a: var_reg,
+                        imm: 1,
+                        target: head,
+                    },
+                };
+                self.ops.push(back_edge);
+                if !self.fuse_dot_loop(head as usize) {
+                    let after = self.here();
+                    self.patch_jump(exit_jump, after);
+                }
             }
             Stmt::If {
                 cond,
@@ -827,6 +999,34 @@ impl<'k> Compiler<'k> {
         Ok(())
     }
 
+    /// Collapses the loop whose head is at `head`, just compiled, into one
+    /// `DotLoop` when its body is one dot step accumulating in place: only
+    /// its counter and its accumulator change. Returns whether it did.
+    fn fuse_dot_loop(&mut self, head: usize) -> bool {
+        let [Op::JumpICmpFalse { op, a, b, .. }, Op::DotStep { idx }, Op::CountAddJump {
+            idx: count, imm, ..
+        }] = self.ops[head..]
+        else {
+            return false;
+        };
+        let step = self.dot_table[idx as usize];
+        if step.dst != step.acc {
+            return false;
+        }
+        self.ops.truncate(head);
+        let idx = self.loop_table.len() as u32;
+        self.loop_table.push(DotLoopArgs {
+            op,
+            var: a,
+            end: b,
+            step,
+            count,
+            imm,
+        });
+        self.ops.push(Op::DotLoop { idx });
+        true
+    }
+
     /// Coerces a value of type `t` to a target type, emitting a
     /// conversion where [`OpCounts::count_convert`] counts one.
     fn coerce(&mut self, v: Val, t: ScalarType, target: ScalarType) -> (Val, ScalarType) {
@@ -836,10 +1036,23 @@ impl<'k> Compiler<'k> {
         let converted = match target {
             ScalarType::Float(prec) => {
                 let dst = self.alloc_f();
-                self.ops.push(match v {
-                    Val::I(a) => Op::IToF { prec, dst, a },
-                    Val::F(a) => Op::Cvt { prec, dst, a },
-                });
+                match v {
+                    Val::I(a) => self.ops.push(Op::IToF { prec, dst, a }),
+                    // A temporary dot step's sum takes the conversion as
+                    // the step's third rounding.
+                    Val::F(a) => match self.ops.last() {
+                        Some(&Op::DotStep { idx })
+                            if self.is_temp(v)
+                                && self.dot_table[idx as usize].dst == a
+                                && self.dot_table[idx as usize].post == Precision::Double =>
+                        {
+                            let step = &mut self.dot_table[idx as usize];
+                            step.post = prec;
+                            step.dst = dst;
+                        }
+                        _ => self.ops.push(Op::Cvt { prec, dst, a }),
+                    },
+                }
                 Val::F(dst)
             }
             _ => {
@@ -889,7 +1102,8 @@ impl<'k> Compiler<'k> {
                 let Some(&b) = self.buf_index.get(buf) else {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
-                self.ops.push(Op::Load { buf: b, idx, dst });
+                let load = self.load(b, idx, dst);
+                self.ops.push(load);
                 Ok((Val::F(dst), ScalarType::Float(elem)))
             }
             Expr::Unary { op, arg } => {
@@ -967,13 +1181,8 @@ impl<'k> Compiler<'k> {
                         let fb = self.float_operand(b, tb, p);
                         self.pending.count_bin(*op, Some(p));
                         let dst = self.alloc_f();
-                        self.ops.push(Op::FBin {
-                            prec: p,
-                            op: *op,
-                            dst,
-                            a: fa,
-                            b: fb,
-                        });
+                        let fbin = self.fbin(p, *op, dst, fa, fb);
+                        self.ops.push(fbin);
                         Ok((Val::F(dst), ScalarType::Float(p)))
                     }
                 }
@@ -1089,470 +1298,6 @@ impl<'k> Compiler<'k> {
                 });
                 dst
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Peephole fusion
-// ---------------------------------------------------------------------------
-
-/// Side tables of fused ops whose operands do not fit in an [`Op`].
-#[derive(Default)]
-struct FusionTables {
-    dot: Vec<DotStepArgs>,
-    loops: Vec<DotLoopArgs>,
-}
-
-/// The destination register an op writes, if it has exactly one.
-fn dst_of(op: Op, t: &FusionTables) -> Option<Val> {
-    match op {
-        Op::IMov { dst, .. }
-        | Op::IBin { dst, .. }
-        | Op::IAddImm { dst, .. }
-        | Op::IUn { dst, .. }
-        | Op::ICmp { dst, .. }
-        | Op::FCmp { dst, .. }
-        | Op::FToI { dst, .. }
-        | Op::SelectI { dst, .. } => Some(Val::I(dst)),
-        Op::FMov { dst, .. }
-        | Op::FBin { dst, .. }
-        | Op::FUn { dst, .. }
-        | Op::Cvt { dst, .. }
-        | Op::IToF { dst, .. }
-        | Op::Load { dst, .. }
-        | Op::SelectF { dst, .. }
-        | Op::FMulAcc { dst, .. } => Some(Val::F(dst)),
-        Op::DotStep { idx } => Some(Val::F(t.dot[idx as usize].dst)),
-        _ => None,
-    }
-}
-
-/// Rewrites an op's destination register (same kind).
-fn with_dst(op: Op, new: Val, t: &mut FusionTables) -> Op {
-    let mut op = op;
-    match (&mut op, new) {
-        (Op::DotStep { idx }, Val::F(r)) => t.dot[*idx as usize].dst = r,
-        (
-            Op::IMov { dst, .. }
-            | Op::IBin { dst, .. }
-            | Op::IAddImm { dst, .. }
-            | Op::IUn { dst, .. }
-            | Op::ICmp { dst, .. }
-            | Op::FCmp { dst, .. }
-            | Op::FToI { dst, .. }
-            | Op::SelectI { dst, .. },
-            Val::I(r),
-        ) => *dst = r,
-        (
-            Op::FMov { dst, .. }
-            | Op::FBin { dst, .. }
-            | Op::FUn { dst, .. }
-            | Op::Cvt { dst, .. }
-            | Op::IToF { dst, .. }
-            | Op::Load { dst, .. }
-            | Op::SelectF { dst, .. }
-            | Op::FMulAcc { dst, .. },
-            Val::F(r),
-        ) => *dst = r,
-        _ => unreachable!("destination kind mismatch in peephole"),
-    }
-    op
-}
-
-/// Calls `fi`/`ff` for every integer / float register a dot step reads.
-fn dot_reads(d: &DotStepArgs, fi: &mut impl FnMut(IReg), ff: &mut impl FnMut(FReg)) {
-    for r in [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2] {
-        fi(r);
-    }
-    ff(d.acc);
-}
-
-/// Calls `fi`/`ff` for every integer / float register an op reads.
-fn for_each_read(op: Op, t: &FusionTables, fi: &mut impl FnMut(IReg), ff: &mut impl FnMut(FReg)) {
-    match op {
-        Op::Jump(_) | Op::Count { .. } | Op::Halt => {}
-        Op::JumpIfFalse { cond, .. } => fi(cond),
-        Op::IMov { src, .. } => fi(src),
-        Op::FMov { src, .. } => ff(src),
-        Op::IBin { a, b, .. } | Op::ICmp { a, b, .. } | Op::JumpICmpFalse { a, b, .. } => {
-            fi(a);
-            fi(b);
-        }
-        Op::IAddImm { a, .. }
-        | Op::IAddImmJump { a, .. }
-        | Op::CountAddJump { a, .. }
-        | Op::IUn { a, .. } => fi(a),
-        Op::DotStep { idx } => dot_reads(&t.dot[idx as usize], fi, ff),
-        Op::DotLoop { idx } => {
-            let l = &t.loops[idx as usize];
-            fi(l.var);
-            fi(l.end);
-            dot_reads(&l.step, fi, ff);
-        }
-        Op::FCmp { a, b, .. } | Op::FBin { a, b, .. } | Op::JumpFCmpFalse { a, b, .. } => {
-            ff(a);
-            ff(b);
-        }
-        Op::FUn { a, .. } | Op::Cvt { a, .. } | Op::FToI { a, .. } => ff(a),
-        Op::IToF { a, .. } => fi(a),
-        Op::Load { idx, .. } => fi(idx),
-        Op::Store { idx, src, .. } => {
-            fi(idx);
-            ff(src);
-        }
-        Op::LoadMulAdd { a, b, c, .. } => {
-            fi(a);
-            fi(b);
-            fi(c);
-        }
-        Op::FMulAcc { acc, a, b, .. } => {
-            ff(acc);
-            ff(a);
-            ff(b);
-        }
-        Op::SelectF { cond, a, b, .. } => {
-            fi(cond);
-            ff(a);
-            ff(b);
-        }
-        Op::SelectI { cond, a, b, .. } => {
-            fi(cond);
-            fi(a);
-            fi(b);
-        }
-    }
-}
-
-/// Fuses adjacent op patterns into superinstructions.
-///
-/// Every fusion is semantics-preserving by construction:
-///
-/// * a group is only fused when no interior op is a jump target, so
-///   control flow cannot enter the middle of a fused sequence;
-/// * an intermediate register is only eliminated when its *global* read
-///   count is exactly the one read inside the group, so no other op (in
-///   this or any later loop iteration) can observe the dropped write;
-/// * the fused op performs the identical arithmetic in the identical
-///   order (including wrapping/rounding and bounds checks).
-///
-/// Count deltas are never altered: a `Count` either survives verbatim or
-/// rides along inside `CountAddJump` (and then `DotLoop`) with the same
-/// table index, so [`OpCounts`] are unchanged.
-///
-/// Runs to a fixpoint: a fused op can enable further fusion (e.g. the
-/// multiply-accumulate's result copy sinks on the next pass, and a loop
-/// whose body became one `DotStep` fuses whole on the pass after).
-fn peephole(mut ops: Vec<Op>, n_iregs: u32, n_fregs: u32, tables: &mut FusionTables) -> Vec<Op> {
-    let mut scratch = PassScratch {
-        is_target: Vec::with_capacity(ops.len()),
-        ireads: vec![0; n_iregs as usize],
-        freads: vec![0; n_fregs as usize],
-        remap: Vec::with_capacity(ops.len() + 1),
-        out: Vec::with_capacity(ops.len()),
-    };
-    loop {
-        let before = ops.len();
-        peephole_pass(&ops, &mut scratch, tables);
-        std::mem::swap(&mut ops, &mut scratch.out);
-        if ops.len() == before {
-            ops.shrink_to_fit();
-            return ops;
-        }
-    }
-}
-
-/// The storage of a peephole pass, reused by every pass of the fixpoint:
-/// the input's jump targets and register read counts, the old → new
-/// position map, and the output.
-struct PassScratch {
-    is_target: Vec<bool>,
-    /// Read counts per register (registers are dense indices).
-    ireads: Vec<u32>,
-    freads: Vec<u32>,
-    remap: Vec<u32>,
-    out: Vec<Op>,
-}
-
-/// One peephole pass over `ops`, leaving the fused program in
-/// `scratch.out`.
-#[allow(clippy::too_many_lines)]
-fn peephole_pass(ops: &[Op], scratch: &mut PassScratch, tables: &mut FusionTables) {
-    let PassScratch {
-        is_target,
-        ireads,
-        freads,
-        remap,
-        out,
-    } = scratch;
-    let n = ops.len();
-    is_target.clear();
-    is_target.resize(n, false);
-    ireads.fill(0);
-    freads.fill(0);
-    for &op in ops {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalse { target: t, .. }
-            | Op::JumpICmpFalse { target: t, .. }
-            | Op::JumpFCmpFalse { target: t, .. }
-            | Op::IAddImmJump { target: t, .. }
-            | Op::CountAddJump { target: t, .. } => is_target[t as usize] = true,
-            _ => {}
-        }
-        for_each_read(op, tables, &mut |r| ireads[r as usize] += 1, &mut |r| {
-            freads[r as usize] += 1;
-        });
-    }
-    let iread = |r: IReg| ireads[r as usize];
-    let fread = |r: FReg| freads[r as usize];
-    let interior_free = |lo: usize, hi: usize| (lo..=hi).all(|k| !is_target[k]);
-
-    out.clear();
-    remap.clear();
-    remap.resize(n + 1, 0);
-    let mut i = 0usize;
-    while i < n {
-        let new_pc = out.len() as u32;
-        let fused: Option<(Op, usize)> = match (ops[i], ops.get(i + 1), ops.get(i + 2)) {
-            // Row-major indexed load: t1 = a*b; t2 = t1+c; dst = buf[t2].
-            (
-                Op::IBin {
-                    op: FloatBinOp::Mul,
-                    dst: t1,
-                    a,
-                    b,
-                },
-                Some(&Op::IBin {
-                    op: FloatBinOp::Add,
-                    dst: t2,
-                    a: aa,
-                    b: ab,
-                }),
-                Some(&Op::Load { buf, idx, dst }),
-            ) if idx == t2
-                && (aa == t1 || ab == t1)
-                && iread(t1) == 1
-                && iread(t2) == 1
-                && interior_free(i + 1, i + 2) =>
-            {
-                // Wrapping add commutes, so either operand slot works.
-                let c = if aa == t1 { ab } else { aa };
-                Some((Op::LoadMulAdd { buf, a, b, c, dst }, 3))
-            }
-            // Multiply feeding only an accumulate (`acc + a*b`): fuse
-            // keeping both roundings and the exact operand order.
-            (
-                Op::FBin {
-                    prec: pm,
-                    op: FloatBinOp::Mul,
-                    dst: t,
-                    a,
-                    b,
-                },
-                Some(&Op::FBin {
-                    prec: pa,
-                    op: FloatBinOp::Add,
-                    dst,
-                    a: acc,
-                    b: prod,
-                }),
-                _,
-            ) if prod == t && fread(t) == 1 && interior_free(i + 1, i + 1) => Some((
-                Op::FMulAcc {
-                    pm,
-                    pa,
-                    dst,
-                    acc,
-                    a,
-                    b,
-                },
-                2,
-            )),
-            // Compare feeding only a branch.
-            (Op::ICmp { op, dst, a, b }, Some(&Op::JumpIfFalse { cond, target }), _)
-                if cond == dst && iread(dst) == 1 && interior_free(i + 1, i + 1) =>
-            {
-                Some((Op::JumpICmpFalse { op, a, b, target }, 2))
-            }
-            (Op::FCmp { op, dst, a, b }, Some(&Op::JumpIfFalse { cond, target }), _)
-                if cond == dst && iread(dst) == 1 && interior_free(i + 1, i + 1) =>
-            {
-                Some((Op::JumpFCmpFalse { op, a, b, target }, 2))
-            }
-            // Loop back-edge: increment, then unconditional jump.
-            (Op::IAddImm { dst, a, imm }, Some(&Op::Jump(target)), _)
-                if interior_free(i + 1, i + 1) =>
-            {
-                Some((
-                    Op::IAddImmJump {
-                        dst,
-                        a,
-                        imm,
-                        target,
-                    },
-                    2,
-                ))
-            }
-            // Per-iteration counter flush folded into the back-edge.
-            (
-                Op::Count { idx },
-                Some(&Op::IAddImmJump {
-                    dst,
-                    a,
-                    imm,
-                    target,
-                }),
-                _,
-            ) if interior_free(i + 1, i + 1) && i32::try_from(imm).is_ok() => Some((
-                Op::CountAddJump {
-                    idx,
-                    dst,
-                    a,
-                    imm: imm as i32,
-                    target,
-                },
-                2,
-            )),
-            // A dot-product step: two indexed loads whose only consumer
-            // is a multiply-accumulate, in operand order.
-            (
-                Op::LoadMulAdd {
-                    buf: buf1,
-                    a: a1,
-                    b: b1,
-                    c: c1,
-                    dst: t1,
-                },
-                Some(&Op::LoadMulAdd {
-                    buf: buf2,
-                    a: a2,
-                    b: b2,
-                    c: c2,
-                    dst: t2,
-                }),
-                Some(&Op::FMulAcc {
-                    pm,
-                    pa,
-                    dst,
-                    acc,
-                    a: ma,
-                    b: mb,
-                }),
-            ) if ma == t1
-                && mb == t2
-                && t1 != t2
-                && fread(t1) == 1
-                && fread(t2) == 1
-                && interior_free(i + 1, i + 2) =>
-            {
-                let idx = tables.dot.len() as u32;
-                tables.dot.push(DotStepArgs {
-                    pm,
-                    pa,
-                    post: Precision::Double,
-                    dst,
-                    acc,
-                    buf1,
-                    a1,
-                    b1,
-                    c1,
-                    buf2,
-                    a2,
-                    b2,
-                    c2,
-                });
-                Some((Op::DotStep { idx }, 3))
-            }
-            // A conversion whose only input is a dot step's sum becomes
-            // the step's third rounding (an accumulator narrower than the
-            // product, e.g. double operands summed into a half result).
-            (Op::DotStep { idx }, Some(&Op::Cvt { prec, dst, a }), _)
-                if tables.dot[idx as usize].post == Precision::Double
-                    && tables.dot[idx as usize].dst == a
-                    && fread(a) == 1
-                    && interior_free(i + 1, i + 1) =>
-            {
-                let d = &mut tables.dot[idx as usize];
-                d.post = prec;
-                d.dst = dst;
-                Some((Op::DotStep { idx }, 2))
-            }
-            // A whole counted loop whose body is one dot step accumulating
-            // in place: the head compares the counter with a bound, exits
-            // just past the back-edge, and the back-edge advances the
-            // counter and jumps to the head. Only the counter and the
-            // accumulator change inside such a loop.
-            (
-                Op::JumpICmpFalse {
-                    op,
-                    a: var,
-                    b: end,
-                    target: exit,
-                },
-                Some(&Op::DotStep { idx: step }),
-                Some(&Op::CountAddJump {
-                    idx: count,
-                    dst,
-                    a: src,
-                    imm,
-                    target: head,
-                }),
-            ) if head as usize == i
-                && exit as usize == i + 3
-                && dst == var
-                && src == var
-                && end != var
-                && tables.dot[step as usize].dst == tables.dot[step as usize].acc
-                && interior_free(i + 1, i + 2) =>
-            {
-                let idx = tables.loops.len() as u32;
-                tables.loops.push(DotLoopArgs {
-                    op,
-                    var,
-                    end,
-                    step: tables.dot[step as usize],
-                    count,
-                    imm,
-                });
-                Some((Op::DotLoop { idx }, 3))
-            }
-            // Copy sink: a producer whose only consumer is a register move
-            // writes the move's destination directly.
-            (producer, Some(&Op::IMov { dst, src }), _)
-                if dst_of(producer, tables) == Some(Val::I(src))
-                    && iread(src) == 1
-                    && interior_free(i + 1, i + 1) =>
-            {
-                Some((with_dst(producer, Val::I(dst), tables), 2))
-            }
-            (producer, Some(&Op::FMov { dst, src }), _)
-                if dst_of(producer, tables) == Some(Val::F(src))
-                    && fread(src) == 1
-                    && interior_free(i + 1, i + 1) =>
-            {
-                Some((with_dst(producer, Val::F(dst), tables), 2))
-            }
-            _ => None,
-        };
-        let (op, width) = fused.unwrap_or((ops[i], 1));
-        for k in 0..width {
-            remap[i + k] = new_pc;
-        }
-        out.push(op);
-        i += width;
-    }
-    remap[n] = out.len() as u32;
-
-    for op in out.iter_mut() {
-        match op {
-            Op::Jump(t)
-            | Op::JumpIfFalse { target: t, .. }
-            | Op::JumpICmpFalse { target: t, .. }
-            | Op::JumpFCmpFalse { target: t, .. }
-            | Op::IAddImmJump { target: t, .. }
-            | Op::CountAddJump { target: t, .. } => *t = remap[*t as usize],
-            _ => {}
         }
     }
 }
@@ -2337,10 +2082,6 @@ impl CompiledKernel {
                     }
                     Flow::Next
                 }
-                Op::IAddImm { dst, a, imm } => {
-                    lanes1(ir, alu, dst, a, |v| v.wrapping_add(imm));
-                    Flow::Next
-                }
                 Op::IUn { op, dst, a } => {
                     match op {
                         UnaryFn::Neg => lanes1(ir, alu, dst, a, i64::wrapping_neg),
@@ -2419,13 +2160,6 @@ impl CompiledKernel {
                 }
                 Op::JumpICmpFalse { op, a, b, target } => {
                     let (a, b) = (&ir[a as usize], &ir[b as usize]);
-                    Flow::Branch {
-                        taken: lanes_where(fx, |l| !op.holds(a[l], b[l])),
-                        target: target as usize,
-                    }
-                }
-                Op::JumpFCmpFalse { op, a, b, target } => {
-                    let (a, b) = (&fr[a as usize], &fr[b as usize]);
                     Flow::Branch {
                         taken: lanes_where(fx, |l| !op.holds(a[l], b[l])),
                         target: target as usize,
@@ -2576,9 +2310,6 @@ impl CompiledKernel {
                             iregs[dst as usize] =
                                 op.apply_int(iregs[a as usize], iregs[b as usize]);
                         }
-                        Op::IAddImm { dst, a, imm } => {
-                            iregs[dst as usize] = iregs[a as usize].wrapping_add(imm);
-                        }
                         Op::IUn { op, dst, a } => {
                             let v = iregs[a as usize];
                             iregs[dst as usize] = match op {
@@ -2646,12 +2377,6 @@ impl CompiledKernel {
                         }
                         Op::JumpICmpFalse { op, a, b, target } => {
                             if !op.holds(iregs[a as usize], iregs[b as usize]) {
-                                pc = target as usize;
-                                continue;
-                            }
-                        }
-                        Op::JumpFCmpFalse { op, a, b, target } => {
-                            if !op.holds(fregs[a as usize], fregs[b as usize]) {
                                 pc = target as usize;
                                 continue;
                             }
@@ -4867,6 +4592,54 @@ mod tests {
         run_kernel(&k, &mut by_interp, &Launch::one_d(1)).unwrap();
         assert_eq!(by_interp["c"].to_f64_vec(), vec![2.0; 3]);
         assert_equiv(&k, bufs, &Launch::one_d(1));
+    }
+
+    #[test]
+    fn a_load_held_in_a_variable_keeps_its_value_past_a_dot_step() {
+        // `p` holds the row operand of each dot step and is read again:
+        // by a store in the loop (a `let` in the body), or after the loop
+        // (an outer `p` assigned in it). A fusion may consume only the
+        // statement's own temporaries, so the step that reads `p` must not
+        // swallow the load that writes it.
+        let row = || load("a", var("i") * var("n") + var("kk"));
+        let step = || add_assign("acc", var("p") * load("b", var("kk") * var("n") + var("j")));
+        let at = || var("i") * var("n") + var("j");
+        for outer in [false, true] {
+            let (before, body, after) = if outer {
+                (
+                    vec![let_ty("p", Precision::Double, flit(0.0))],
+                    vec![assign("p", row()), step()],
+                    vec![store("d", at(), var("p"))],
+                )
+            } else {
+                (
+                    Vec::new(),
+                    vec![let_("p", row()), step(), store("d", at(), var("p"))],
+                    Vec::new(),
+                )
+            };
+            let mut stmts = vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_acc("acc", "c", flit(0.0)),
+            ];
+            stmts.extend(before);
+            stmts.push(for_("kk", int(0), var("n"), body));
+            stmts.push(store("c", at(), var("acc")));
+            stmts.extend(after);
+            let k = kernel("held")
+                .buffer("a", Precision::Double, Access::Read)
+                .buffer("b", Precision::Double, Access::Read)
+                .buffer("c", Precision::Double, Access::ReadWrite)
+                .buffer("d", Precision::Double, Access::Write)
+                .int_param("n")
+                .body(stmts);
+            let n = 8usize;
+            let mut bufs = gemm_buffers(n, Precision::Double);
+            bufs.insert("d".into(), FloatVec::zeros(n * n, Precision::Double));
+            let launch = Launch::two_d(n, n).arg_int("n", n as i64);
+            assert_equiv_bitwise(&k, &bufs, &launch);
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! bit-identical buffers and operation counts — whether the VM runs them
 //! item by item, in lock-step blocks or in parallel chunks, must survive
 //! a print/parse round trip, and must pass the verifier without an error.
+//! Their `if`s branch on integer and float comparisons, and a float
+//! comparison may meet a NaN in some lanes of a block and not in others.
 //!
 //! Half the kernels store through unclamped affine indices that the
 //! disjoint-access proof can admit, over launches of at least 64 items,
@@ -11,7 +13,8 @@
 //! them accumulate a dot product whose operands are uniform, contiguous,
 //! strided or unevenly spaced across the lanes of a row, so fused
 //! dot-product loops run once per lock-step block too; the executor's own
-//! tally counts those.
+//! tally counts those. Some of those hold one operand in a local that is
+//! read again after the loop, which no fusion may swallow.
 //! The proof's verdict and the verifier's errors must also survive a
 //! random retyping of every kernel's buffers and a random in-kernel
 //! compute map, since compiled precision variants share their kernel's
@@ -143,9 +146,11 @@ fn arb_float_expr(depth: u32, in_loop: bool, locals: bool) -> BoxedStrategy<Expr
     .boxed()
 }
 
-/// Statements (bounded nesting), with integer `if` conditions. With
-/// `stores`, some store a float or an integer value to `b` at a clamped
-/// index; without, they only assign the locals (and leave `b` read-only).
+/// Statements (bounded nesting), with integer and float `if` conditions:
+/// a float comparison may meet NaN operands, and its lanes may disagree.
+/// With `stores`, some store a float or an integer value to `b` at a
+/// clamped index; without, they only assign the locals (and leave `b`
+/// read-only).
 fn arb_stmts(depth: u32, in_loop: bool, stores: bool) -> BoxedStrategy<Vec<Stmt>> {
     let assign0 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t0", v));
     let assign1 = arb_float_expr(2, in_loop, true).prop_map(|v| assign("t1", v));
@@ -176,8 +181,37 @@ fn arb_stmts(depth: u32, in_loop: bool, stores: bool) -> BoxedStrategy<Vec<Stmt>
         ibody.clone(),
     )
         .prop_map(|(x, y, t, e)| if_else(lt(x, y), t, e));
+    let cmp_op = prop_oneof![
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+    ];
+    // The square root of a value that may be negative is NaN in some
+    // lanes and not in others.
+    let nan_prone = prop_oneof![
+        arb_float_expr(1, in_loop, true),
+        arb_float_expr(1, in_loop, true).prop_map(sqrt),
+    ];
+    let float_if_stmt = (
+        cmp_op,
+        nan_prone,
+        arb_float_expr(1, in_loop, true),
+        ibody.clone(),
+        ibody,
+    )
+        .prop_map(|(op, x, y, t, e)| if_else(cmp(op, x, y), t, e));
     proptest::collection::vec(
-        prop_oneof![3 => store_stmt, 1 => assign0, 1 => assign1, 1 => for_stmt, 1 => if_stmt],
+        prop_oneof![
+            3 => store_stmt,
+            1 => assign0,
+            1 => assign1,
+            1 => for_stmt,
+            1 => if_stmt,
+            1 => float_if_stmt,
+        ],
         1..4,
     )
     .boxed()
@@ -232,12 +266,16 @@ enum Shape {
     Rounded,
     /// A dot product into an accumulator at `acc`,
     /// `acc = acc + x[..]*y[..]` over `trips`, then `c[idx] = acc`; `x`
-    /// and `y` are read-only buffers at their own precisions.
+    /// and `y` are read-only buffers at their own precisions. With
+    /// `held`, each trip first assigns `x[..]` to a local `p` declared
+    /// before the loop, the step reads `p`, and the store adds `p`: no
+    /// fusion may swallow the load that writes `p`.
     Dot {
         x: (Precision, Operand),
         y: (Precision, Operand),
         acc: Precision,
         trips: Trips,
+        held: bool,
     },
 }
 
@@ -344,11 +382,15 @@ fn arb_dot() -> impl Strategy<Value = Shape> {
         1 => Just(Trips::PerLane),
         1 => Just(Trips::PerRow),
     ];
-    (operand(), operand(), arb_precision(), trips).prop_map(|(x, y, acc, trips)| Shape::Dot {
-        x,
-        y,
-        acc,
-        trips,
+    let held = prop_oneof![3 => Just(false), 1 => Just(true)];
+    (operand(), operand(), arb_precision(), trips, held).prop_map(|(x, y, acc, trips, held)| {
+        Shape::Dot {
+            x,
+            y,
+            acc,
+            trips,
+            held,
+        }
     })
 }
 
@@ -473,19 +515,26 @@ fn affine_stmts(aff: &Affine, pc: Precision, vals: Values) -> Vec<Stmt> {
                 store("c", x(), load("c", x()) * flit(0.5) + v),
             ]
         }
-        Shape::Dot { x, y, acc, trips } => vec![
-            let_ty("acc", acc, flit(0.25)),
-            for_(
-                "k",
-                int(0),
-                trips.bound(),
-                vec![add_assign(
-                    "acc",
-                    load("x", x.1.index()) * load("y", y.1.index()),
-                )],
-            ),
-            store("c", idx(), var("acc")),
-        ],
+        Shape::Dot {
+            x,
+            y,
+            acc,
+            trips,
+            held,
+        } => {
+            let (x_k, y_k) = (load("x", x.1.index()), load("y", y.1.index()));
+            let mut out = vec![let_ty("acc", acc, flit(0.25))];
+            let (step, sum) = if held {
+                out.push(let_ty("p", x.0, flit(0.5)));
+                let step = vec![assign("p", x_k), add_assign("acc", var("p") * y_k)];
+                (step, var("acc") + var("p"))
+            } else {
+                (vec![add_assign("acc", x_k * y_k)], var("acc"))
+            };
+            out.push(for_("k", int(0), trips.bound(), step));
+            out.push(store("c", idx(), sum));
+            out
+        }
     }
 }
 

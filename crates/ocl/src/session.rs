@@ -13,7 +13,7 @@ use crate::spec::ScalingSpec;
 use crate::variants::VariantCache;
 use prescaler_ir::interp::{BufferMap, Launch};
 use prescaler_ir::vm::VmScratch;
-use prescaler_ir::{FloatVec, Param, Precision, Program, ScalarBound};
+use prescaler_ir::{FloatVec, Param, Precision, Program};
 use prescaler_sim::{Direction, FaultPlan, HostMethod, SimTime, SystemModel, TransferPlan};
 use std::sync::Arc;
 
@@ -85,8 +85,8 @@ pub struct Session {
     log: ProfileLog,
     /// Register/binding storage reused across kernel launches.
     scratch: VmScratch,
-    /// Real worker-thread budget for data-parallel kernel execution and
-    /// precision conversion (1 = strictly sequential).
+    /// Real worker-thread budget for data-parallel kernel execution (1 =
+    /// strictly sequential).
     exec_threads: usize,
 }
 
@@ -277,9 +277,9 @@ impl Session {
             .time(&self.system, host.len())
             .at_bandwidth(bandwidth)
             .scaled(noise);
-        // The simulated HostMethod drives the cost model above; the *real*
-        // conversion parallelizes under the session's own thread budget.
-        let mut data = plan.apply_with_threads(host, self.exec_threads);
+        // The simulated HostMethod drives the cost model above; the real
+        // conversion runs on the calling thread.
+        let mut data = plan.apply(host);
         self.maybe_corrupt(&mut data);
         let wire_bytes = host.len() * plan.intermediate.size_bytes();
         let elems = host.len();
@@ -317,7 +317,7 @@ impl Session {
             .time(&self.system, buf.data.len())
             .at_bandwidth(bandwidth)
             .scaled(noise);
-        let mut out = plan.apply_with_threads(&buf.data, self.exec_threads);
+        let mut out = plan.apply(&buf.data);
         self.maybe_corrupt(&mut out);
         let wire_bytes = buf.data.len() * plan.intermediate.size_bytes();
         let elems = buf.data.len();
@@ -383,7 +383,6 @@ impl Session {
 
         // Resolve bindings.
         let mut buffer_args: Vec<(&str, BufferId)> = Vec::new();
-        let mut scalar_args: Vec<(String, ScalarBound)> = Vec::new();
         let mut launch = Launch {
             global,
             args: Vec::new(),
@@ -411,11 +410,9 @@ impl Session {
                     buffer_args.push((pname, *id));
                 }
                 (Param::Scalar { name: pname, .. }, KernelArg::Int(v)) => {
-                    scalar_args.push((pname.clone(), ScalarBound::Int(*v)));
                     launch = launch.arg_int(pname.clone(), *v);
                 }
                 (Param::Scalar { name: pname, .. }, KernelArg::Float(v)) => {
-                    scalar_args.push((pname.clone(), ScalarBound::Float(*v)));
                     launch = launch.arg_float(pname.clone(), *v);
                 }
                 _ => {
@@ -475,7 +472,7 @@ impl Session {
             .map(|&(pname, id)| (pname.to_owned(), self.buffers[id.0].label.clone()))
             .collect();
         self.log
-            .record_kernel(name, arg_map, scalar_args, global, counts, time);
+            .record_kernel(name, arg_map, launch.args, global, counts, time);
         Ok(time)
     }
 }

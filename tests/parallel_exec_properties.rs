@@ -495,3 +495,94 @@ fn compiling_from_the_key_matches_compiling_the_retyped_kernel() {
     }
     assert_eq!((kernels, cases), (27, 1566), "kernels and cases checked");
 }
+
+/// The superinstructions each shipped polybench kernel compiles to, at its
+/// declared precisions and with every buffer at binary16: code length,
+/// then the sites of `DotLoop`, `DotStep`, `LoadMulAdd`, `FMulAcc`,
+/// `JumpICmpFalse`, `CountAddJump` and `IAddImmJump`.
+#[rustfmt::skip]
+const FUSED: [(&str, [usize; 8], [usize; 8]); 27] = [
+    ("conv2d", [63, 0, 0, 3, 8, 0, 0, 0], [63, 0, 0, 3, 8, 0, 0, 0]),
+    ("mm2_k1", [16, 1, 0, 0, 0, 0, 0, 0], [16, 1, 0, 0, 0, 0, 0, 0]),
+    ("mm2_k2", [16, 1, 0, 0, 0, 0, 0, 0], [16, 1, 0, 0, 0, 0, 0, 0]),
+    ("conv3d", [107, 0, 0, 3, 10, 1, 1, 0], [107, 0, 0, 3, 10, 1, 1, 0]),
+    ("mm3_k1", [16, 1, 0, 0, 0, 0, 0, 0], [16, 1, 0, 0, 0, 0, 0, 0]),
+    ("mm3_k2", [16, 1, 0, 0, 0, 0, 0, 0], [16, 1, 0, 0, 0, 0, 0, 0]),
+    ("mm3_k3", [16, 1, 0, 0, 0, 0, 0, 0], [16, 1, 0, 0, 0, 0, 0, 0]),
+    ("atax_k1", [14, 0, 0, 1, 1, 1, 1, 0], [14, 0, 0, 1, 1, 1, 1, 0]),
+    ("atax_k2", [14, 0, 0, 1, 1, 1, 1, 0], [14, 0, 0, 1, 1, 1, 1, 0]),
+    ("bicg_k1", [14, 0, 0, 1, 1, 1, 1, 0], [14, 0, 0, 1, 1, 1, 1, 0]),
+    ("bicg_k2", [14, 0, 0, 1, 1, 1, 1, 0], [14, 0, 0, 1, 1, 1, 1, 0]),
+    ("corr_mean", [14, 0, 0, 1, 0, 1, 1, 0], [14, 0, 0, 1, 0, 1, 1, 0]),
+    ("corr_std", [19, 0, 0, 1, 1, 1, 1, 0], [19, 0, 0, 1, 1, 1, 1, 0]),
+    ("corr_reduce", [20, 0, 0, 1, 0, 0, 0, 0], [20, 0, 0, 1, 0, 0, 0, 0]),
+    ("corr_compute", [32, 1, 0, 0, 0, 1, 1, 0], [32, 1, 0, 0, 0, 1, 1, 0]),
+    ("covar_mean", [14, 0, 0, 1, 0, 1, 1, 0], [14, 0, 0, 1, 0, 1, 1, 0]),
+    ("covar_reduce", [16, 0, 0, 1, 0, 0, 0, 0], [16, 0, 0, 1, 0, 0, 0, 0]),
+    ("covar_compute", [18, 1, 0, 0, 0, 1, 1, 0], [18, 1, 0, 0, 0, 1, 1, 0]),
+    ("fdtd_ey", [27, 0, 0, 3, 0, 0, 0, 0], [27, 0, 0, 3, 0, 0, 0, 0]),
+    ("fdtd_ex", [27, 0, 0, 2, 0, 0, 0, 0], [27, 0, 0, 2, 0, 0, 0, 0]),
+    ("fdtd_hz", [29, 0, 0, 4, 0, 0, 0, 0], [29, 0, 0, 4, 0, 0, 0, 0]),
+    ("gemm", [19, 1, 0, 1, 1, 0, 0, 0], [19, 1, 0, 1, 1, 0, 0, 0]),
+    ("gesummv", [21, 0, 0, 2, 3, 1, 1, 0], [21, 0, 0, 2, 3, 1, 1, 0]),
+    ("mvt_k1", [15, 0, 0, 1, 1, 1, 1, 0], [15, 0, 0, 1, 1, 1, 1, 0]),
+    ("mvt_k2", [15, 0, 0, 1, 1, 1, 1, 0], [15, 0, 0, 1, 1, 1, 1, 0]),
+    ("syr2k", [25, 0, 1, 3, 1, 1, 1, 0], [25, 0, 1, 3, 1, 1, 1, 0]),
+    ("syrk", [19, 1, 0, 1, 1, 0, 0, 0], [19, 1, 0, 1, 1, 0, 0, 0]),
+];
+
+/// Code length and fused-op sites of `compiled`, read from its `Debug`
+/// form: the ops list precedes the count table.
+fn fused_sites(compiled: &prescaler_ir::vm::CompiledKernel) -> [usize; 8] {
+    let shown = format!("{compiled:?}");
+    let ops = &shown[shown.find("ops: [").expect("ops are shown")..];
+    let ops = &ops[..ops
+        .find("], counts_table")
+        .expect("the count table follows")];
+    let mut sites = [compiled.code_len(), 0, 0, 0, 0, 0, 0, 0];
+    let names = [
+        "DotLoop",
+        "DotStep",
+        "LoadMulAdd",
+        "FMulAcc",
+        "JumpICmpFalse",
+        "CountAddJump",
+        "IAddImmJump",
+    ];
+    for (n, name) in sites[1..].iter_mut().zip(names) {
+        *n = ops.matches(&format!("{name} {{")).count();
+    }
+    sites
+}
+
+/// Every shipped polybench kernel keeps its superinstructions: the code
+/// length and the sites of each fused op, at the declared precisions and
+/// with every buffer at binary16, are pinned.
+#[test]
+fn polybench_kernels_keep_their_superinstructions() {
+    use prescaler_ir::analysis::parallel_safety;
+    use prescaler_ir::vm::compile_with_safety;
+    use prescaler_ir::Param;
+    use std::sync::Arc;
+
+    let mut seen = Vec::new();
+    for &kind in &BenchKind::ALL {
+        for k in &PolyApp::tiny(kind).program().kernels {
+            let declared = compile_kernel(k).expect("polybench kernels compile");
+            let buffers = k
+                .params
+                .iter()
+                .filter(|p| matches!(p, Param::Buffer { .. }))
+                .count();
+            let all_half = vec![Precision::Half; buffers];
+            let half = compile_with_safety(k, &all_half, Arc::new(parallel_safety(k)))
+                .expect("polybench kernels compile");
+            seen.push((k.name.clone(), fused_sites(&declared), fused_sites(&half)));
+        }
+    }
+    let want: Vec<_> = FUSED
+        .iter()
+        .map(|&(n, d, h)| (n.to_owned(), d, h))
+        .collect();
+    assert_eq!(seen, want);
+}

@@ -28,20 +28,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A transfer plan's functional result never depends on the host
-    /// method or the real thread count (both are performance-only), and
-    /// equals the sequential two-step conversion through the wire type.
+    /// method (performance-only), and equals the two-step conversion
+    /// through the wire type.
     #[test]
     fn transfer_plans_are_method_independent(
         src in arb_precision(),
         mid in arb_precision(),
         dst in arb_precision(),
         method in arb_method(),
-        threads in 1usize..32,
         values in proptest::collection::vec(-1.0e4f64..1.0e4, 1..200),
     ) {
         let plan = TransferPlan { direction: Direction::HtoD, src, intermediate: mid, dst, host_method: method };
         let data = FloatVec::from_f64_slice(&values, src);
-        let got = plan.apply_with_threads(&data, threads);
+        let got = plan.apply(&data);
         let expected = data.converted(mid).converted(dst);
         prop_assert_eq!(got, expected);
     }
@@ -135,7 +134,7 @@ fn transient_conversion_is_lossier_than_direct() {
         Precision::Single,
         HostMethod::Loop,
     )
-    .apply_with_threads(&data, 1);
+    .apply(&data);
     let transient = TransferPlan::transient(
         Direction::HtoD,
         Precision::Double,
@@ -143,7 +142,7 @@ fn transient_conversion_is_lossier_than_direct() {
         Precision::Single,
         HostMethod::Loop,
     )
-    .apply_with_threads(&data, 1);
+    .apply(&data);
     let exact = FloatVec::from_f64_slice(&values, Precision::Double);
     let q_direct = array_quality(&exact, &direct.converted(Precision::Double));
     let q_transient = array_quality(&exact, &transient.converted(Precision::Double));
