@@ -17,23 +17,32 @@
 //! NDRange row, each op dispatched once per block over lane registers.
 //! Blocks keep the sequential order, and the proof says no two lanes of a
 //! block touch a common element of a stored buffer, so every lane computes
-//! what it would alone. A fused dot-product loop (`Op::DotLoop`) runs
-//! once for a whole block when its active lanes agree on the counter and
-//! the bound and no operand index is the counter squared, so each lane's
-//! index moves by a fixed step per trip: trip by trip, an operand every
-//! lane reads at one element is one load, any other a bounds-checked read
-//! per lane, and each lane's sum takes its roundings in the sequential
-//! trip order. Otherwise the lanes run the loop one at a time. A block
-//! that hits an error rolls its stores back from an undo log of raw
-//! element bits and replays item by item, which reproduces the sequential
-//! error and partial writes.
+//! what it would alone. A block that hits an error rolls its stores back
+//! from an undo log of raw element bits and replays item by item, which
+//! reproduces the sequential error and partial writes.
+//!
+//! A fused dot-product loop (`Op::DotLoop`) never has an operand index
+//! that squares its counter, so each operand's index moves by a fixed
+//! stride per trip: a progression. The loop works out its trip count once
+//! and checks both ends of each progression against the operand's buffer
+//! (a parallel chunk's window of it) once; its trips then read by plain
+//! slice indexing. A progression that leaves its window fails the loop
+//! before any trip, with the error its first read outside would raise:
+//! trips write only registers and an error ends the launch, so nothing
+//! else can tell. The loop runs once for a whole block when its active
+//! lanes agree on the counter and the bound, each lane with its own
+//! progressions: trip by trip, an operand every lane reads at one element
+//! is one read, any other a read per lane, and each lane's sum takes its
+//! roundings in the sequential trip order. A work-item that runs the loop
+//! alone reads both operands in strips of up to 64 trips, one
+//! element-type dispatch each, and folds each strip into its sum.
 //!
 //! A block resolves each float op's precision and operator once per
 //! dispatch, never per lane: every lane loop is one generic loop
 //! instantiated per precision, or tuple of precisions (a `Prec` marker
 //! type each), and per operator. A dot loop picks the lane loop of its
 //! product, sum and conversion precisions once per loop, and so does the
-//! trip loop a work-item runs alone.
+//! strip fold of a work-item that runs it alone.
 //!
 //! Three implementation points matter for the equivalence:
 //!
@@ -64,7 +73,7 @@
 pub use crate::analysis::ParallelSafety;
 use crate::analysis::{self, WriteSummary};
 use crate::array::FloatVec;
-use crate::ast::{eval_operands, Expr, Kernel, Param, Scopes, Stmt, TypeRef};
+use crate::ast::{eval_operands, visit_stmts, Expr, Kernel, Param, Scopes, Stmt, TypeRef};
 use crate::counts::OpCounts;
 use crate::interp::{select_type, ArgValue, BufferMap, ExecError, Launch};
 use crate::types::{Precision, ScalarType};
@@ -235,17 +244,17 @@ struct DotStepArgs {
     c2: IReg,
 }
 
-/// Operands of a fused [`Op::DotLoop`]: while `i[var] op i[end]`, run
+/// Operands of a fused [`Op::DotLoop`]: while `i[var] < i[end]`, run
 /// `step` (which accumulates in place: its `dst` is its `acc`), tally
-/// count site `count`, and advance `i[var]` by `imm` (wrapping).
+/// count site `count`, and add 1 to `i[var]`. No operand index of `step`
+/// has the counter as both factors, so each moves by a fixed stride per
+/// trip ([`loop_trips`] gives the trip count).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct DotLoopArgs {
-    op: CmpOp,
     var: IReg,
     end: IReg,
     step: DotStepArgs,
     count: u32,
-    imm: i32,
 }
 
 /// How one kernel parameter binds at launch. Scalar parameters carry the
@@ -311,13 +320,14 @@ pub struct VmScratch {
 }
 
 /// One executor's private state: scalar register files (for item-by-item
-/// runs and replays), lane registers (for lock-step blocks) and a counter
-/// tally.
+/// runs and replays), lane registers (for lock-step blocks), the strip
+/// buffer of the dot loops a work-item runs alone, and a counter tally.
 #[derive(Debug, Default)]
 struct Worker {
     iregs: Vec<i64>,
     fregs: Vec<f64>,
     lanes: Lanes,
+    strip: Strip,
     hits: Vec<u64>,
 }
 
@@ -333,8 +343,29 @@ impl VmScratch {
     /// by lane (for diagnostics).
     #[must_use]
     pub fn lockstep_dot_loops(&self) -> u64 {
-        let workers = self.workers.iter().map(|w| w.lanes.dot_loops);
-        self.main.lanes.dot_loops + workers.sum::<u64>()
+        self.tally(|w| w.lanes.dot_loops)
+    }
+
+    /// How many times the runs on this scratch ran a fused dot-product
+    /// loop of more than 64 trips for one work-item, in more than one
+    /// strip (for diagnostics).
+    #[must_use]
+    pub fn long_dot_loops(&self) -> u64 {
+        self.tally(|w| w.strip.long)
+    }
+
+    /// How many times a fused dot-product loop a work-item ran on this
+    /// scratch failed before its first trip, because an operand's index
+    /// progression left its buffer, or a parallel chunk's window of it
+    /// (for diagnostics).
+    #[must_use]
+    pub fn dot_loop_faults(&self) -> u64 {
+        self.tally(|w| w.strip.faults)
+    }
+
+    /// The sum of `f` over every executor of this scratch.
+    fn tally(&self, f: impl Fn(&Worker) -> u64) -> u64 {
+        f(&self.main) + self.workers.iter().map(f).sum::<u64>()
     }
 }
 
@@ -918,7 +949,20 @@ impl<'k> Compiler<'k> {
                         "loop bound for `{var}` must be an integer"
                     )));
                 }
-                let e = ev.ireg();
+                let mut e = ev.ireg();
+                // The interpreter reads the bound once: a variable the
+                // body assigns is copied at loop entry.
+                if let Expr::Var(bound) = end {
+                    let mut assigned = false;
+                    visit_stmts(body, &mut |s| {
+                        assigned |= matches!(s, Stmt::Assign { name, .. } if name == bound);
+                    });
+                    if assigned {
+                        let copy = self.alloc_i();
+                        self.ops.push(Op::IMov { dst: copy, src: e });
+                        e = copy;
+                    }
+                }
                 let var_reg = self.alloc_i();
                 self.mov(Val::I(var_reg), sv);
                 self.flush();
@@ -1000,28 +1044,32 @@ impl<'k> Compiler<'k> {
     }
 
     /// Collapses the loop whose head is at `head`, just compiled, into one
-    /// `DotLoop` when its body is one dot step accumulating in place: only
-    /// its counter and its accumulator change. Returns whether it did.
+    /// `DotLoop` when its body is one dot step accumulating in place, so
+    /// that only its counter and its accumulator change, and no operand
+    /// index squares the counter, so that each moves by a fixed stride.
+    /// The step moves from the dot table into the loop's. Returns whether
+    /// it fused.
     fn fuse_dot_loop(&mut self, head: usize) -> bool {
-        let [Op::JumpICmpFalse { op, a, b, .. }, Op::DotStep { idx }, Op::CountAddJump {
-            idx: count, imm, ..
-        }] = self.ops[head..]
+        let [Op::JumpICmpFalse { a: var, b: end, .. }, Op::DotStep { idx }, Op::CountAddJump { idx: count, .. }] =
+            self.ops[head..]
         else {
             return false;
         };
         let step = self.dot_table[idx as usize];
-        if step.dst != step.acc {
+        let square = |a: IReg, b: IReg| a == var && b == var;
+        if step.dst != step.acc || square(step.a1, step.b1) || square(step.a2, step.b2) {
             return false;
         }
+        // The body's one op is the last dot step made.
+        debug_assert_eq!(idx as usize + 1, self.dot_table.len());
+        self.dot_table.pop();
         self.ops.truncate(head);
         let idx = self.loop_table.len() as u32;
         self.loop_table.push(DotLoopArgs {
-            op,
-            var: a,
-            end: b,
+            var,
+            end,
             step,
             count,
-            imm,
         });
         self.ops.push(Op::DotLoop { idx });
         true
@@ -1931,12 +1979,13 @@ impl CompiledKernel {
             iregs,
             fregs,
             lanes,
+            strip,
             hits,
         } = w;
         hits.clear();
         hits.resize(self.counts_table.len(), 0);
         if !lockstep {
-            return self.exec_range(iregs, fregs, mem, hits, xs, ys);
+            return self.exec_range(iregs, fregs, mem, hits, strip, (xs, ys));
         }
         self.prepare_lanes(lanes, iregs, fregs, xs.len().min(BLOCK));
         for y in ys {
@@ -1944,7 +1993,7 @@ impl CompiledKernel {
                 let width = (xs.end - x0).min(BLOCK);
                 lanes.undo.clear();
                 lanes.hits.fill(0);
-                if self.exec_block(lanes, mem, x0, y, width).is_ok() {
+                if self.exec_block(lanes, strip, mem, x0, y, width).is_ok() {
                     for (t, h) in hits.iter_mut().zip(&lanes.hits) {
                         *t += h;
                     }
@@ -1952,7 +2001,8 @@ impl CompiledKernel {
                     for u in lanes.undo.drain(..).rev() {
                         mem.put_back(u);
                     }
-                    self.exec_range(iregs, fregs, mem, hits, x0..x0 + width, y..y + 1)?;
+                    let items = (x0..x0 + width, y..y + 1);
+                    self.exec_range(iregs, fregs, mem, hits, strip, items)?;
                 }
             }
         }
@@ -2007,6 +2057,7 @@ impl CompiledKernel {
     fn exec_block(
         &self,
         lanes: &mut Lanes,
+        strip: &mut Strip,
         mem: &mut Mem<'_>,
         x0: usize,
         y: usize,
@@ -2221,7 +2272,7 @@ impl CompiledKernel {
                     } else {
                         each_lane!(fx, |l| {
                             let (k, sum, trips) =
-                                dot_loop(lp, |r| ir[r as usize][l], fr[acc][l], mem)?;
+                                dot_loop(lp, |r| ir[r as usize][l], fr[acc][l], mem, strip)?;
                             ir[var][l] = k;
                             fr[acc][l] = sum;
                             hits[lp.count as usize] += trips;
@@ -2282,8 +2333,8 @@ impl CompiledKernel {
         fregs: &mut [f64],
         mem: &mut Mem<'_>,
         hits: &mut [u64],
-        gx_range: Range<usize>,
-        gy_range: Range<usize>,
+        strip: &mut Strip,
+        (gx_range, gy_range): (Range<usize>, Range<usize>),
     ) -> Result<(), ExecError> {
         let ops = &self.ops[..];
         for gy in gy_range {
@@ -2435,7 +2486,7 @@ impl CompiledKernel {
                             let l = &self.loop_table[idx as usize];
                             let acc = l.step.acc as usize;
                             let (k, sum, trips) =
-                                dot_loop(l, |r| iregs[r as usize], fregs[acc], mem)?;
+                                dot_loop(l, |r| iregs[r as usize], fregs[acc], mem, strip)?;
                             iregs[l.var as usize] = k;
                             fregs[acc] = sum;
                             hits[l.count as usize] += trips;
@@ -2512,6 +2563,27 @@ impl Default for Lanes {
             dot_loops: 0,
             undo: Vec::new(),
             hits: Vec::new(),
+        }
+    }
+}
+
+/// The dot loops a work-item runs alone ([`stream`]): both operands'
+/// elements of one strip, widened, and two tallies for diagnostics.
+#[derive(Debug)]
+struct Strip {
+    vals: [[f64; BLOCK]; 2],
+    /// Loops of more than one strip.
+    long: u64,
+    /// Loops that failed on a progression leaving its window.
+    faults: u64,
+}
+
+impl Default for Strip {
+    fn default() -> Strip {
+        Strip {
+            vals: [[0.0; BLOCK]; 2],
+            long: 0,
+            faults: 0,
         }
     }
 }
@@ -2645,68 +2717,139 @@ fn dot_step(
     Ok(round_to(d.post, apply_fbin(d.pa, FloatBinOp::Add, acc, m)))
 }
 
+/// The trip count of a loop whose counter counts up by one from `k`
+/// while it is below `end`, a bound read once (as [`Stmt::For`] makes
+/// every loop), and the counter at its exit.
+#[inline(always)]
+fn loop_trips(k: i64, end: i64) -> (u64, i64) {
+    if k < end {
+        (end.wrapping_sub(k) as u64, end)
+    } else {
+        (0, k)
+    }
+}
+
 /// Runs a fused dot-product loop to its exit from accumulator `acc` and
-/// returns the counter at the exit, the sum and the trip count. Every
-/// iteration is the unfused compare, [`dot_step`] and back-edge: the same
-/// loads and bounds checks, the same roundings, the same wrapping
-/// increment. Only the counter and the accumulator change inside the
-/// loop, so they live in locals and every other register is read once,
-/// here; the trips run in [`item_trips`] at the step's precisions.
+/// returns the counter at the exit, the sum and the trip count, as the
+/// unfused compare, [`dot_step`] and back-edge would: the same reads, the
+/// same roundings in the same order, and the error of the first read
+/// outside an operand's buffer. Only the counter and the accumulator
+/// change inside the loop, so every other register is read once, here,
+/// and each operand's index moves by a fixed stride: its index at the
+/// first trip and its stride are its progression, which [`stream`]
+/// checks once.
 #[inline(always)]
 fn dot_loop(
     l: &DotLoopArgs,
     reg: impl Fn(IReg) -> i64,
     acc: f64,
     mem: &Mem<'_>,
+    strip: &mut Strip,
 ) -> Result<(i64, f64, u64), ExecError> {
     let d = &l.step;
+    let k = reg(l.var);
     // An index operand is the counter itself or a loop invariant.
-    let operand = |r: IReg| (r == l.var, reg(r));
-    let indices = [d.a1, d.b1, d.c1, d.a2, d.b2, d.c2].map(operand);
-    d.item_trips()(l, (reg(l.var), reg(l.end)), indices, acc, mem)
+    let index = |[a, b, c]: [IReg; 3], k: i64| {
+        let at = |r: IReg| if r == l.var { k } else { reg(r) };
+        at(a).wrapping_mul(at(b)).wrapping_add(at(c))
+    };
+    let progression = |operand| {
+        let first = index(operand, k);
+        (first, index(operand, k.wrapping_add(1)).wrapping_sub(first))
+    };
+    let operands = [
+        progression([d.a1, d.b1, d.c1]),
+        progression([d.a2, d.b2, d.c2]),
+    ];
+    stream(l, loop_trips(k, reg(l.end)), operands, acc, mem, strip)
 }
 
-/// The trips of [`dot_loop`] from counter `k` to bound `end`, the step's
-/// precisions `M`, `A` and `Q` fixed.
+/// The trips of [`dot_loop`], `trips` of them ending with the counter at
+/// `exit`, over the operands' progressions `(first, stride)`. A
+/// progression that leaves its window fails the loop before any trip,
+/// with the error of its first read outside: the lowest trip's, and
+/// operand 1's on a tie, as each trip reads it first. Otherwise each strip
+/// of up to [`BLOCK`] trips reads both operands, one element-type dispatch
+/// each, into the worker's strip buffer, and folds into the sum at the
+/// step's precisions ([`DotStepArgs::strip_trips`]).
 #[inline(never)]
-fn item_trips<M: Prec, A: Prec, Q: Prec>(
+fn stream(
     l: &DotLoopArgs,
-    (mut k, end): (i64, i64),
-    [a1, b1, c1, a2, b2, c2]: [(bool, i64); 6],
+    (trips, exit): (u64, i64),
+    [(f1, s1), (f2, s2)]: [(i64, i64); 2],
     mut acc: f64,
     mem: &Mem<'_>,
+    strip: &mut Strip,
 ) -> Result<(i64, f64, u64), ExecError> {
-    let d = &l.step;
-    let at = |(is_var, v): (bool, i64), k: i64| if is_var { k } else { v };
-    let mut trips = 0;
-    while l.op.holds(k, end) {
-        let i1 = at(a1, k).wrapping_mul(at(b1, k)).wrapping_add(at(c1, k));
-        let v1 = mem.load(d.buf1, i1)?;
-        let i2 = at(a2, k).wrapping_mul(at(b2, k)).wrapping_add(at(c2, k));
-        let v2 = mem.load(d.buf2, i2)?;
-        acc = rounded_step::<M, A, Q>(acc, v1, v2);
-        trips += 1;
-        k = k.wrapping_add(i64::from(l.imm));
+    if trips == 0 {
+        return Ok((exit, acc, 0));
     }
-    Ok((k, acc, trips))
+    let d = &l.step;
+    let (w1, w2) = (mem.span(d.buf1), mem.span(d.buf2));
+    let fault = match (w1.exit(f1, s1, trips), w2.exit(f2, s2, trips)) {
+        (None, None) => None,
+        (Some(t1), Some(t2)) if t2 < t1 => Some(w2.outside_at(f2, s2, t2)),
+        (Some(t1), _) => Some(w1.outside_at(f1, s1, t1)),
+        (None, Some(t2)) => Some(w2.outside_at(f2, s2, t2)),
+    };
+    if let Some(e) = fault {
+        strip.faults += 1;
+        return Err(e);
+    }
+    let fold = d.strip_trips();
+    let (mut p1, mut p2) = (f1.wrapping_sub(w1.lo), f2.wrapping_sub(w2.lo));
+    let mut left = trips;
+    while left > 0 {
+        let n = left.min(BLOCK as u64) as usize;
+        let [v1, v2] = &mut strip.vals;
+        mem.widen_strip(d.buf1, (p1, s1), &mut v1[..n]);
+        mem.widen_strip(d.buf2, (p2, s2), &mut v2[..n]);
+        acc = fold(acc, &strip.vals, n);
+        p1 = p1.wrapping_add(s1.wrapping_mul(n as i64));
+        p2 = p2.wrapping_add(s2.wrapping_mul(n as i64));
+        left -= n as u64;
+    }
+    strip.long += u64::from(trips > BLOCK as u64);
+    Ok((exit, acc, trips))
 }
 
-/// [`item_trips`] at some precisions.
-type ItemTrips = fn(
-    &DotLoopArgs,
-    (i64, i64),
-    [(bool, i64); 6],
-    f64,
-    &Mem<'_>,
-) -> Result<(i64, f64, u64), ExecError>;
+/// One strip of [`stream`]: trip `t < n` adds `v1[t]·v2[t]` to `acc`
+/// with the roundings of [`dot_step`], its precisions `M`, `A` and `Q`
+/// fixed, so a loop picks its fold once, not a precision per trip.
+#[inline(never)]
+fn strip_trips<M: Prec, A: Prec, Q: Prec>(
+    mut acc: f64,
+    [v1, v2]: &[[f64; BLOCK]; 2],
+    n: usize,
+) -> f64 {
+    for (&x, &y) in v1[..n].iter().zip(&v2[..n]) {
+        acc = rounded_step::<M, A, Q>(acc, x, y);
+    }
+    acc
+}
+
+/// `out[t]` = element `at + t·stride` of `e`, widened: one strip of a
+/// dot-loop operand whose progression lies in `e`.
+#[inline(never)]
+fn widen_strip<T: Elem>(e: &[T], (at, stride): (i64, i64), out: &mut [f64]) {
+    let mut p = at;
+    for v in out {
+        *v = e[p as usize].widen();
+        p = p.wrapping_add(stride);
+    }
+}
+
+/// [`strip_trips`] at some precisions.
+type StripTrips = fn(f64, &[[f64; BLOCK]; 2], usize) -> f64;
 
 /// [`step_lanes`] at some precisions.
 type StepLanes = fn(&mut [f64; BLOCK], &[[f64; BLOCK]; 2], Sel);
 
 impl DotStepArgs {
-    /// The per-item trip loop at this step's precisions.
-    fn item_trips(&self) -> ItemTrips {
-        with_step_precs!(self, |M, A, Q| item_trips::<M, A, Q> as ItemTrips)
+    /// The fold of one strip of a work-item's dot loop at this step's
+    /// precisions.
+    fn strip_trips(&self) -> StripTrips {
+        with_step_precs!(self, |M, A, Q| strip_trips::<M, A, Q> as StripTrips)
     }
 
     /// The lane loop of one trip at this step's precisions.
@@ -2717,9 +2860,8 @@ impl DotStepArgs {
 
 /// A fused dot loop that runs once for all the lanes of a block: the
 /// lanes agree on the counter and the bound, so they make the same trips,
-/// and no operand index is the square of the counter, so each lane's
-/// index moves by a fixed step per trip in the wrapping ring of the VM's
-/// integers.
+/// and each lane's operand indices move by fixed strides in the wrapping
+/// ring of the VM's integers.
 struct DotLanes {
     /// The counter at entry.
     k: i64,
@@ -2730,7 +2872,8 @@ struct DotLanes {
 }
 
 /// One operand of a lock-step dot loop: lane `l` reads element `at[l]`
-/// this trip and `at[l] + step[l]` the next.
+/// this trip and `at[l] + step[l]` the next. Once [`Reads::enter`] has
+/// checked the progressions, `at` holds positions in the window.
 struct Reads {
     at: [i64; BLOCK],
     step: [i64; BLOCK],
@@ -2741,20 +2884,19 @@ struct Reads {
 
 impl DotLanes {
     /// Fused dot loop `lp` over the lanes of `sel`, or `None` when the
-    /// lanes disagree on the counter or the bound, or an operand index is
-    /// `k·k`; those lanes run the loop one at a time.
+    /// lanes disagree on the counter or the bound; those lanes run the
+    /// loop one at a time.
     fn of(lp: &DotLoopArgs, ir: &[[i64; BLOCK]], sel: Sel) -> Option<DotLanes> {
         let l0 = sel.first();
         let (var, end) = (&ir[lp.var as usize], &ir[lp.end as usize]);
         let (k, bound) = (var[l0], end[l0]);
         let mut agree = true;
         each_lane!(sel, |l| agree &= var[l] == k && end[l] == bound);
-        let d = &lp.step;
-        let square = |a: IReg, b: IReg| a == lp.var && b == lp.var;
-        if !agree || square(d.a1, d.b1) || square(d.a2, d.b2) {
+        if !agree {
             return None;
         }
-        let next = k.wrapping_add(i64::from(lp.imm));
+        let d = &lp.step;
+        let next = k.wrapping_add(1);
         let reads = |[a, b, c]: [IReg; 3]| {
             let at = |r: IReg, l: usize, k: i64| if r == lp.var { k } else { ir[r as usize][l] };
             let index = |l: usize, k: i64| {
@@ -2784,12 +2926,52 @@ impl DotLanes {
     }
 }
 
+impl Reads {
+    /// Checks each lane's progression over `trips > 0` trips against
+    /// window `span` once, and turns its index into a position in the
+    /// window. A progression that leaves the window is an error, after
+    /// which the block replays item by item.
+    fn enter(&mut self, span: &Span<'_>, trips: u64, sel: Sel) -> Result<(), ExecError> {
+        let mut enter = |l: usize| match span.exit(self.at[l], self.step[l], trips) {
+            None => {
+                self.at[l] = self.at[l].wrapping_sub(span.lo);
+                Ok(())
+            }
+            Some(t) => Err(span.outside_at(self.at[l], self.step[l], t)),
+        };
+        match self.uniform {
+            Some(l0) => enter(l0),
+            None => {
+                each_lane!(sel, |l| enter(l)?);
+                Ok(())
+            }
+        }
+    }
+
+    /// One trip's reads from window elements `e` into `dst`, for each
+    /// lane of `sel` (one read for a uniform operand), after which each
+    /// lane's position moves on to the next trip's.
+    #[inline(always)]
+    fn read<T: Elem>(&mut self, e: &[T], dst: &mut [f64; BLOCK], sel: Sel) {
+        match self.uniform {
+            Some(l0) => {
+                dst.fill(e[self.at[l0] as usize].widen());
+                self.at[l0] = self.at[l0].wrapping_add(self.step[l0]);
+            }
+            None => each_lane!(sel, |l| {
+                dst[l] = e[self.at[l] as usize].widen();
+                self.at[l] = self.at[l].wrapping_add(self.step[l]);
+            }),
+        }
+    }
+}
+
 /// Runs lock-step dot loop `lanes` of `lp` for the lanes of `sel` over
-/// the operands' windows `w1` and `w2`, trip by trip, summing into `acc`
-/// in place, and returns the counter at the exit and the trip count. Each
-/// lane's sum takes the roundings of [`dot_loop`] in the same trip order;
-/// an access outside a window is an error, after which the block replays
-/// item by item.
+/// the operands' windows `w1` and `w2`, summing into `acc` in place, and
+/// returns the counter at the exit and the trip count. Each lane's
+/// progressions are checked once ([`Reads::enter`]); the trips then read
+/// by position, and each lane's sum takes the roundings of [`dot_loop`]
+/// in the same trip order.
 fn dot_trips<T1: Elem, T2: Elem>(
     lp: &DotLoopArgs,
     lanes: &mut DotLanes,
@@ -2797,19 +2979,22 @@ fn dot_trips<T1: Elem, T2: Elem>(
     acc: &mut [f64; BLOCK],
     sel: Sel,
 ) -> Result<(i64, u64), ExecError> {
+    let (trips, exit) = loop_trips(lanes.k, lanes.end);
+    if trips == 0 {
+        return Ok((exit, 0));
+    }
+    let [r1, r2] = &mut lanes.operands;
+    r1.enter(&w1.span(), trips, sel)?;
+    r2.enter(&w2.span(), trips, sel)?;
     let step = lp.step.step_lanes();
     let mut vals = [[0.0; BLOCK]; 2];
-    let [r1, r2] = &mut lanes.operands;
-    let mut k = lanes.k;
-    let mut trips = 0;
-    while lp.op.holds(k, lanes.end) {
-        w1.trip_reads(r1, &mut vals[0], sel)?;
-        w2.trip_reads(r2, &mut vals[1], sel)?;
+    let (e1, e2) = (w1.elems(), w2.elems());
+    for _ in 0..trips {
+        r1.read(e1, &mut vals[0], sel);
+        r2.read(e2, &mut vals[1], sel);
         step(acc, &vals, sel);
-        trips += 1;
-        k = k.wrapping_add(i64::from(lp.imm));
     }
-    Ok((k, trips))
+    Ok((exit, trips))
 }
 
 /// One trip's arithmetic of a lock-step dot loop, or a lock-step
@@ -2974,22 +3159,14 @@ impl<T: Elem> Window<'_, T> {
         Ok(())
     }
 
-    /// One trip's reads of a lock-step dot-loop operand into `dst`, for
-    /// each lane of `sel`, after which each lane's index moves on to the
-    /// next trip's. A uniform operand is one read.
-    #[inline(always)]
-    fn trip_reads(&self, r: &mut Reads, dst: &mut [f64; BLOCK], sel: Sel) -> Result<(), ExecError> {
-        match r.uniform {
-            Some(l0) => {
-                dst.fill(self.get(r.at[l0])?);
-                r.at[l0] = r.at[l0].wrapping_add(r.step[l0]);
-            }
-            None => {
-                self.gather(&r.at, dst, sel)?;
-                each_lane!(sel, |l| r.at[l] = r.at[l].wrapping_add(r.step[l]));
-            }
+    /// Where this window lies in its buffer.
+    fn span(&self) -> Span<'_> {
+        Span {
+            name: self.name,
+            len: self.len,
+            lo: self.lo,
+            n: self.elems().len(),
         }
-        Ok(())
     }
 
     /// Rounds `v[l]` into element `idx[l]` for each lane of `sel`, in
@@ -3018,6 +3195,68 @@ impl<T: Elem> Window<'_, T> {
         if let Elems::Mut(e) = &mut self.elems {
             e[u.at] = T::from_bits(u.bits);
         }
+    }
+}
+
+/// Where a [`Window`] lies, whatever its element type: elements
+/// `[lo, lo + n)` of buffer `name`, which holds `len`.
+#[derive(Clone, Copy)]
+struct Span<'a> {
+    name: &'a str,
+    len: usize,
+    lo: i64,
+    n: usize,
+}
+
+impl Span<'_> {
+    /// Whether index `i` lies in the window (as [`locate`] decides).
+    #[inline(always)]
+    fn holds(&self, i: i64) -> bool {
+        (i.wrapping_sub(self.lo) as u64) < self.n as u64
+    }
+
+    /// The first of `trips > 0` trips whose index `first + t·stride`
+    /// (wrapping) lies outside the window, if any. When both ends lie
+    /// inside and checked arithmetic reaches the last from the first, so
+    /// does every index between them.
+    #[inline(always)]
+    fn exit(&self, first: i64, stride: i64, trips: u64) -> Option<u64> {
+        let last = i64::try_from(trips - 1)
+            .ok()
+            .and_then(|t| t.checked_mul(stride))
+            .and_then(|d| first.checked_add(d));
+        match last {
+            Some(last) if self.holds(first) && self.holds(last) => None,
+            _ => self.first_exit(first, stride, trips),
+        }
+    }
+
+    /// [`Span::exit`] when the ends did not settle it. A progression that
+    /// starts inside moves `|stride|` a trip toward one end of the window
+    /// and leaves it once it passes that end, before any index wraps.
+    #[cold]
+    fn first_exit(&self, first: i64, stride: i64, trips: u64) -> Option<u64> {
+        let inside = if !self.holds(first) {
+            0
+        } else if stride == 0 {
+            return None;
+        } else {
+            let room = if stride > 0 {
+                self.lo + (self.n as i64 - 1) - first
+            } else {
+                first - self.lo
+            };
+            room as u64 / stride.unsigned_abs() + 1
+        };
+        (inside < trips).then_some(inside)
+    }
+
+    /// The error of trip `t`'s read, outside the window, of progression
+    /// `(first, stride)`, at the wrapped index the trip computes.
+    #[cold]
+    fn outside_at(&self, first: i64, stride: i64, t: u64) -> ExecError {
+        let i = first.wrapping_add((t as i64).wrapping_mul(stride));
+        outside(self.name, self.len, i)
     }
 }
 
@@ -3157,6 +3396,39 @@ impl Mem<'_> {
             }
             Mem::Chunk(slots) => {
                 on_window!(&mut slots[buf as usize], |w| w.scatter(idx, src, sel, log))
+            }
+        }
+    }
+
+    /// Where buffer slot `buf`'s window lies.
+    #[inline(always)]
+    fn span(&self, buf: u16) -> Span<'_> {
+        match self {
+            Mem::Whole(bufs) => {
+                let (name, data) = &bufs[buf as usize];
+                let len = data.len();
+                Span {
+                    name,
+                    len,
+                    lo: 0,
+                    n: len,
+                }
+            }
+            Mem::Chunk(slots) => on_window!(&slots[buf as usize], |w| w.span()),
+        }
+    }
+
+    /// [`widen_strip`] of buffer slot `buf` into `out`, from window
+    /// position `at` by `stride` (`from`), with one dispatch on the
+    /// element type.
+    #[inline(always)]
+    fn widen_strip(&self, buf: u16, from: (i64, i64), out: &mut [f64]) {
+        match self {
+            Mem::Whole(bufs) => {
+                by_elem!(&bufs[buf as usize].1, |e, _slot| widen_strip(e, from, out));
+            }
+            Mem::Chunk(slots) => {
+                on_window!(&slots[buf as usize], |w| widen_strip(w.elems(), from, out));
             }
         }
     }
@@ -4468,6 +4740,290 @@ mod tests {
                 assert_eq!(lockstep_dot_loops(&k, &bufs, &launch), 2 * n as u64);
             }
         }
+    }
+
+    /// `acc += x[kk*s1 + p] * y[kk*s2 + q]` for `kk` in `[lo, hi)`, with
+    /// `p = j*d1 + o1` and `q = j*d2 + o2` per lane: each operand's index
+    /// is a progression of stride `s1` (`s2`) from its lane's start.
+    fn edge_kernel() -> Kernel {
+        let mut k = kernel("edge")
+            .buffer("x", Precision::Double, Access::Read)
+            .buffer("y", Precision::Single, Access::Read)
+            .buffer("c", Precision::Double, Access::Write);
+        for name in ["w", "d1", "o1", "s1", "d2", "o2", "s2", "lo", "hi"] {
+            k = k.int_param(name);
+        }
+        k.body(vec![
+            let_("j", global_id(0)),
+            let_("i", global_id(1)),
+            let_("p", var("j") * var("d1") + var("o1")),
+            let_("q", var("j") * var("d2") + var("o2")),
+            let_acc("acc", "c", flit(0.25)),
+            for_(
+                "kk",
+                var("lo"),
+                var("hi"),
+                vec![add_assign(
+                    "acc",
+                    load("x", var("kk") * var("s1") + var("p"))
+                        * load("y", var("kk") * var("s2") + var("q")),
+                )],
+            ),
+            store("c", var("i") * var("w") + var("j"), var("acc")),
+        ])
+    }
+
+    #[test]
+    fn streamed_dot_loops_fail_like_the_interpreter() {
+        // Each case: `x` and `y` lengths, then `[d1, o1, s1, d2, o2, s2,
+        // lo, hi]`, and the error of item (0, 0) or of the first item
+        // that fails, if any. Run item by item in 8-wide rows and in lock
+        // step in 70-wide ones, each against the interpreter at 1, 2 and
+        // 8 threads: error, partial writes and counts.
+        let oob = |buf: &str, index: i64, len: usize| {
+            Some(ExecError::OutOfBounds {
+                buf: buf.to_owned(),
+                index,
+                len,
+            })
+        };
+        #[rustfmt::skip]
+        let cases = [
+            ("x at trip 0", 50, 50, [0, 50, 1, 0, 0, 1, 0, 6], oob("x", 50, 50)),
+            ("x mid-loop", 40, 50, [0, 0, 7, 0, 0, 1, 0, 10], oob("x", 42, 40)),
+            ("x on the last trip", 9, 50, [0, 0, 1, 0, 0, 1, 0, 10], oob("x", 9, 9)),
+            ("y before x", 40, 10, [0, 0, 7, 0, 0, 3, 0, 10], oob("y", 12, 10)),
+            ("both on one trip", 40, 12, [0, 0, 10, 0, 0, 3, 0, 10], oob("x", 40, 40)),
+            ("a negative stride out", 50, 50, [0, 5, -1, 0, 0, 1, 0, 10], oob("x", -1, 50)),
+            ("a negative stride in", 10, 50, [0, 9, -1, 0, 0, 1, 0, 10], None),
+            ("zero trips", 10, 10, [0, -100, 1, 0, 1000, 1, 0, 0], None),
+            ("negative trips", 10, 10, [0, -100, 1, 0, 1000, 1, -2, -7], None),
+            ("a uniform operand", 10, 120, [0, 3, 0, 1, 0, 1, 0, 40], None),
+            ("a uniform operand out", 10, 120, [0, 10, 0, 1, 0, 1, 0, 40], oob("x", 10, 10)),
+            ("lane 6 mid-loop", 40, 50, [6, 0, 1, 0, 0, 1, 0, 6], oob("x", 40, 40)),
+            ("a wrapped index", 50, 50, [0, 3, i64::MAX, 0, 0, 1, 0, 3], oob("x", i64::MIN + 2, 50)),
+        ];
+        let k = edge_kernel();
+        for (what, x_len, y_len, args, want) in cases {
+            for w in [8usize, 70] {
+                let xs: Vec<f64> = (0..x_len).map(|i| (i as f64 * 0.61).sin()).collect();
+                let ys: Vec<f64> = (0..y_len).map(|i| (i as f64 * 0.37).cos()).collect();
+                let mut bufs = BufferMap::new();
+                bufs.insert("x".into(), FloatVec::from_f64_slice(&xs, Precision::Double));
+                bufs.insert("y".into(), FloatVec::from_f64_slice(&ys, Precision::Single));
+                bufs.insert("c".into(), FloatVec::zeros(2 * w, Precision::Double));
+                let mut launch = Launch::two_d(w, 2).arg_int("w", w as i64);
+                for (name, v) in ["d1", "o1", "s1", "d2", "o2", "s2", "lo", "hi"]
+                    .iter()
+                    .zip(args)
+                {
+                    launch = launch.arg_int(*name, v);
+                }
+                let compiled = compile_kernel(&k).unwrap();
+                assert_eq!(compiled.plan(&bufs, &launch, 1).lockstep(), w == 70);
+                assert_equiv_bitwise(&k, &bufs, &launch);
+                let mut scratch = VmScratch::new();
+                let got = compiled.run_with_scratch(&mut bufs.clone(), &launch, &mut scratch);
+                assert_eq!(got.as_ref().err(), want.as_ref(), "{what}, {w}-wide rows");
+                assert_eq!(
+                    scratch.dot_loop_faults(),
+                    u64::from(want.is_some()),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_dot_loops_read_a_carved_window() {
+        // Item `(j, i)` reads `c[q + kk]`, `q = i*w + j`, from its own
+        // 16-element row of the stored `c` before it stores `c[q]`, so at
+        // 8 threads each chunk of rows reads its carved window of `c`
+        // from a nonzero start. With `c` cut to 250 elements the last row
+        // reads past its end: no chunk plan, and the sequential error.
+        let k = kernel("rows")
+            .buffer("c", Precision::Single, Access::ReadWrite)
+            .buffer("y", Precision::Double, Access::Read)
+            .int_param("w")
+            .int_param("m")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_("q", var("i") * var("w") + var("j")),
+                let_acc("acc", "c", flit(0.5)),
+                for_(
+                    "kk",
+                    int(0),
+                    var("m"),
+                    vec![add_assign(
+                        "acc",
+                        load("c", var("kk") * int(1) + var("q"))
+                            * load("y", var("kk") * var("w") + var("j")),
+                    )],
+                ),
+                store("c", var("q"), var("acc")),
+            ]);
+        let (nx, rows, w, m) = (8usize, 16usize, 16usize, 8usize);
+        let launch = Launch::two_d(nx, rows)
+            .arg_int("w", w as i64)
+            .arg_int("m", m as i64);
+        let compiled = compile_kernel(&k).unwrap();
+        for (c_len, chunks) in [(rows * w, true), (250, false)] {
+            let cs: Vec<f64> = (0..c_len).map(|i| (i as f64 * 0.3).sin()).collect();
+            let ys: Vec<f64> = (0..m * w).map(|i| (i as f64 * 0.7).cos()).collect();
+            let mut bufs = BufferMap::new();
+            bufs.insert("c".into(), FloatVec::from_f64_slice(&cs, Precision::Single));
+            bufs.insert("y".into(), FloatVec::from_f64_slice(&ys, Precision::Double));
+            let plan = compiled.plan(&bufs, &launch, 8);
+            assert_eq!(plan.chunks() > 1, chunks, "{c_len} elements");
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            let result = compiled.run(&mut bufs.clone(), &launch);
+            assert_eq!(result.is_err(), !chunks, "{result:?}");
+        }
+    }
+
+    /// `mm` with its own trip count: `c[i*n + j] = Σ a[i*m + kk]·b[kk*n + j]`
+    /// over `kk < m`, `a` and `b` at `ab`, `c` at `c_elem`.
+    fn mm_trips(ab: Precision, c_elem: Precision) -> Kernel {
+        kernel("mk")
+            .buffer("a", ab, Access::Read)
+            .buffer("b", ab, Access::Read)
+            .buffer("c", c_elem, Access::ReadWrite)
+            .int_param("n")
+            .int_param("m")
+            .body(vec![
+                let_("j", global_id(0)),
+                let_("i", global_id(1)),
+                let_acc("acc", "c", flit(0.0)),
+                for_(
+                    "kk",
+                    int(0),
+                    var("m"),
+                    vec![add_assign(
+                        "acc",
+                        load("a", var("i") * var("m") + var("kk"))
+                            * load("b", var("kk") * var("n") + var("j")),
+                    )],
+                ),
+                store("c", var("i") * var("n") + var("j"), var("acc")),
+            ])
+    }
+
+    #[test]
+    fn per_item_dot_loops_stream_across_strips_at_every_dot_step_precision() {
+        // 8-wide rows run item by item; loops of 8, 64 and 70 trips make
+        // one short strip, one full strip, and a full one then a short
+        // one. The operands hold every special value of their precision,
+        // at the precision triples of the dot-step test above.
+        let n = 8usize;
+        for (ab, c_elem) in [
+            (Precision::Half, Precision::Half),
+            (Precision::Single, Precision::Single),
+            (Precision::Double, Precision::Double),
+            (Precision::Half, Precision::Double),
+            (Precision::Half, Precision::Single),
+            (Precision::Double, Precision::Half),
+            (Precision::Double, Precision::Single),
+        ] {
+            let k = mm_trips(ab, c_elem);
+            let specials = special_bits(ab);
+            for m in [8usize, 64, 70] {
+                let spread = |stride: usize, off: usize| -> Vec<u64> {
+                    let xs: Vec<f64> = (0..n * m)
+                        .map(|i| ((i * 7 % 23) as f64) * 0.37 - 3.1)
+                        .collect();
+                    let mut xs = bits(&FloatVec::from_f64_slice(&xs, ab));
+                    for (t, &v) in specials.iter().enumerate() {
+                        xs[(t * stride + off) % (n * m)] = v;
+                    }
+                    xs
+                };
+                let mut bufs = BufferMap::new();
+                bufs.insert("a".into(), from_bits(ab, &spread(13, 1)));
+                bufs.insert("b".into(), from_bits(ab, &spread(11, 3)));
+                bufs.insert("c".into(), FloatVec::zeros(n * n, c_elem));
+                let launch = Launch::two_d(n, n)
+                    .arg_int("n", n as i64)
+                    .arg_int("m", m as i64);
+                assert!(!compile_kernel(&k)
+                    .unwrap()
+                    .plan(&bufs, &launch, 1)
+                    .lockstep());
+                assert_equiv_bitwise(&k, &bufs, &launch);
+                let mut scratch = VmScratch::new();
+                compile_kernel(&k)
+                    .unwrap()
+                    .run_with_scratch(&mut bufs.clone(), &launch, &mut scratch)
+                    .unwrap();
+                let long = if m > BLOCK { (n * n) as u64 } else { 0 };
+                assert_eq!(
+                    scratch.long_dot_loops(),
+                    long,
+                    "{ab:?}/{c_elem:?}, {m} trips"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_reads_its_bound_once() {
+        // The body lowers the variable the bound names; the loop still
+        // makes the three trips the bound held at entry.
+        let k = kernel("bound")
+            .buffer("c", Precision::Double, Access::Write)
+            .body(vec![
+                let_("m", int(3)),
+                for_(
+                    "k",
+                    int(0),
+                    var("m"),
+                    vec![
+                        assign("m", var("m") - int(1)),
+                        store("c", var("k"), flit(1.0)),
+                    ],
+                ),
+            ]);
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(4, Precision::Double));
+        let launch = Launch::one_d(1);
+        assert_equiv_bitwise(&k, &bufs, &launch);
+        let counts = compile_kernel(&k).unwrap().run(&mut bufs, &launch).unwrap();
+        assert_eq!(bufs["c"].to_f64_vec(), [1.0, 1.0, 1.0, 0.0]);
+        assert_eq!(counts.int_ops, 9);
+    }
+
+    #[test]
+    fn a_squared_counter_leaves_the_loop_unfused() {
+        // `b[kk*kk + j]` moves by no fixed stride: the loop keeps its
+        // dot step, and the fused loop of `b[kk*n + j]` leaves no dot
+        // step behind in the dot table.
+        let body = |b_at: Expr| {
+            kernel("sq")
+                .buffer("a", Precision::Double, Access::Read)
+                .buffer("b", Precision::Double, Access::Read)
+                .buffer("c", Precision::Double, Access::Write)
+                .int_param("n")
+                .body(vec![
+                    let_("j", global_id(0)),
+                    let_acc("acc", "c", flit(0.0)),
+                    for_(
+                        "kk",
+                        int(0),
+                        var("n"),
+                        vec![add_assign(
+                            "acc",
+                            load("a", var("j") * var("n") + var("kk")) * load("b", b_at),
+                        )],
+                    ),
+                    store("c", var("j"), var("acc")),
+                ])
+        };
+        let squared = compile_kernel(&body(var("kk") * var("kk") + var("j"))).unwrap();
+        assert!(squared.loop_table.is_empty());
+        assert_eq!(squared.dot_table.len(), 1);
+        let strided = compile_kernel(&body(var("kk") * var("n") + var("j"))).unwrap();
+        assert_eq!(strided.loop_table.len(), 1);
+        assert!(strided.dot_table.is_empty());
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! strided or unevenly spaced across the lanes of a row, so fused
 //! dot-product loops run once per lock-step block too; the executor's own
 //! tally counts those. Some of those hold one operand in a local that is
-//! read again after the loop, which no fusion may swallow.
+//! read again after the loop, which no fusion may swallow. Some make more
+//! trips than a 64-trip strip holds, in rows narrower than 16, which a
+//! work-item streams alone in several strips; some read an operand
+//! buffer cut short, at the first trip or partway through, and there
+//! every engine must fail with the interpreter's error and leave its
+//! partial writes. The scratch's tallies count both.
 //! The proof's verdict and the verifier's errors must also survive a
 //! random retyping of every kernel's buffers and a random in-kernel
 //! compute map, since compiled precision variants share their kernel's
@@ -40,7 +45,7 @@ use prescaler_ir::passes::{insert_casts, retype_buffers};
 use prescaler_ir::print::kernel_to_string;
 use prescaler_ir::typeck::check_kernel;
 use prescaler_ir::verify::{verify_kernel, Severity, VerifyDiagnostic};
-use prescaler_ir::vm::{compile_kernel, compile_with_safety, VmScratch};
+use prescaler_ir::vm::{compile_kernel, compile_with_safety, LaunchPlan, VmScratch};
 use prescaler_ir::{
     Access, CmpOp, Expr, FloatVec, Kernel, Param, Precision, ScalarType, Stmt, TypeRef,
 };
@@ -269,14 +274,26 @@ enum Shape {
     /// and `y` are read-only buffers at their own precisions. With
     /// `held`, each trip first assigns `x[..]` to a local `p` declared
     /// before the loop, the step reads `p`, and the store adds `p`: no
-    /// fusion may swallow the load that writes `p`.
+    /// fusion may swallow the load that writes `p`. With `cut`, one
+    /// operand buffer is too short for the loop's reads.
     Dot {
         x: (Precision, Operand),
         y: (Precision, Operand),
         acc: Precision,
         trips: Trips,
         held: bool,
+        cut: Option<Cut>,
     },
+}
+
+/// A [`Shape::Dot`] operand buffer cut to `eighths`/8 of the elements its
+/// reads reach, so some work-item's loop reads past its end, at the first
+/// trip or partway through.
+#[derive(Clone, Copy, Debug)]
+struct Cut {
+    /// `y` rather than `x`.
+    y: bool,
+    eighths: usize,
 }
 
 /// How a [`Shape::Dot`] operand's index moves across the lanes of a row
@@ -311,9 +328,24 @@ impl Operand {
         };
         var(a) * var(b) + var(c)
     }
+
+    /// One past the largest index this operand reads in an `nx × ny`
+    /// launch of loops of up to `t` trips, for row stride `w`.
+    fn reach(self, t: usize, [nx, ny]: [usize; 2], w: usize) -> usize {
+        let (j, i, k) = (nx - 1, ny - 1, t.max(1) - 1);
+        let top = match self {
+            Operand::Uniform => i * w + k,
+            Operand::Contiguous => k * w + j,
+            Operand::Strided => j * w + k,
+            Operand::Skewed => k * j + i,
+            Operand::Square => j * j + k,
+            Operand::Quadratic => k * k + j,
+        };
+        top + 1
+    }
 }
 
-/// A [`Shape::Dot`] loop's trip count, at most 5.
+/// A [`Shape::Dot`] loop's trip count: at most 5, or a long loop.
 #[derive(Clone, Copy, Debug)]
 enum Trips {
     /// The same constant in every work-item.
@@ -323,15 +355,26 @@ enum Trips {
     PerLane,
     /// `(int) a[i]*2`: data-dependent, but one count per row.
     PerRow,
+    /// More trips than a 64-trip strip holds, in rows narrower than 16,
+    /// which run item by item.
+    Long(i64),
 }
 
 impl Trips {
     fn bound(self) -> Expr {
         let data = |id: usize| to_int(load("a", clamped(global_id(id))) * flit(2.0));
         match self {
-            Trips::Fixed(t) => int(t),
+            Trips::Fixed(t) | Trips::Long(t) => int(t),
             Trips::PerLane => data(0),
             Trips::PerRow => data(1),
+        }
+    }
+
+    /// The most trips a loop makes.
+    fn most(self) -> usize {
+        match self {
+            Trips::Long(t) => t as usize,
+            _ => 5,
         }
     }
 }
@@ -361,7 +404,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         2 => (1i64..4).prop_map(|trips| Shape::Carried { trips }),
         2 => Just(Shape::DataTrips),
         1 => Just(Shape::Rounded),
-        4 => arb_dot(),
+        6 => arb_dot(),
     ]
 }
 
@@ -381,17 +424,23 @@ fn arb_dot() -> impl Strategy<Value = Shape> {
         2 => (0i64..5).prop_map(Trips::Fixed),
         1 => Just(Trips::PerLane),
         1 => Just(Trips::PerRow),
+        2 => (65i64..140).prop_map(Trips::Long),
     ];
     let held = prop_oneof![3 => Just(false), 1 => Just(true)];
-    (operand(), operand(), arb_precision(), trips, held).prop_map(|(x, y, acc, trips, held)| {
-        Shape::Dot {
+    let cut = prop_oneof![
+        1 => Just(None),
+        1 => (any::<bool>(), 1usize..8).prop_map(|(y, eighths)| Some(Cut { y, eighths })),
+    ];
+    (operand(), operand(), arb_precision(), trips, held, cut).prop_map(
+        |(x, y, acc, trips, held, cut)| Shape::Dot {
             x,
             y,
             acc,
             trips,
             held,
-        }
-    })
+            cut,
+        },
+    )
 }
 
 fn arb_affine() -> impl Strategy<Value = Affine> {
@@ -426,9 +475,20 @@ impl Affine {
     }
 
     /// Elements a [`Shape::Dot`] operand buffer needs for an `nx × ny`
-    /// launch: room for every form of index at up to 5 trips.
+    /// launch: room for every form of index at up to 5 trips, or at a
+    /// long loop's `t`, which `k*k` may pass.
     fn dot_len(&self, [nx, ny]: [usize; 2]) -> usize {
-        nx.max(ny).max(5) * (self.w(nx) as usize + nx) + 5
+        let t = self.trips();
+        let square = if t > 5 { t } else { 0 };
+        nx.max(ny).max(t) * (self.w(nx) as usize + nx + square) + t
+    }
+
+    /// The most trips a [`Shape::Dot`] loop makes.
+    fn trips(&self) -> usize {
+        match self.shape {
+            Shape::Dot { trips, .. } => trips.most(),
+            _ => 5,
+        }
     }
 
     /// Elements `c` needs so every index of an `nx × ny` launch fits.
@@ -521,6 +581,7 @@ fn affine_stmts(aff: &Affine, pc: Precision, vals: Values) -> Vec<Stmt> {
             acc,
             trips,
             held,
+            ..
         } => {
             let (x_k, y_k) = (load("x", x.1.index()), load("y", y.1.index()));
             let mut out = vec![let_ty("acc", acc, flit(0.25))];
@@ -621,9 +682,14 @@ fn arb_affine_case() -> impl Strategy<Value = Case> {
                 body.extend(stmts);
                 let stores = affine_stmts(&aff, pc, Values { v, v2, vk, f });
                 // `Rounded` merges indices only from 2048 up: its launches
-                // are 2112 wide and keep every lane.
+                // are 2112 wide and keep every lane. Long dot loops run
+                // item by item, in rows narrower than 16.
                 let (global, guard) = match aff.shape {
                     Shape::Rounded => ([2112, global[1].min(2)], None),
+                    Shape::Dot {
+                        trips: Trips::Long(_),
+                        ..
+                    } => ([global[0].min(12), global[1]], guard),
                     _ => (global, guard),
                 };
                 match guard {
@@ -658,6 +724,17 @@ fn arb_case() -> impl Strategy<Value = Case> {
 }
 
 impl Case {
+    /// Whether a dot loop's operand buffer is cut short.
+    fn cut(&self) -> bool {
+        matches!(
+            self.affine,
+            Some(Affine {
+                shape: Shape::Dot { cut: Some(_), .. },
+                ..
+            })
+        )
+    }
+
     fn launch(&self) -> Launch {
         let mut launch = Launch {
             global: self.global,
@@ -691,10 +768,19 @@ impl Case {
             let p = self.kernel.buffer_elem("c").unwrap();
             let xs = wave(aff.c_len(self.global), f64::sin, 0.13);
             m.insert("c".into(), FloatVec::from_f64_slice(&xs, p));
-            if let Shape::Dot { x, y, .. } = aff.shape {
+            if let Shape::Dot { x, y, cut, .. } = aff.shape {
                 let len = aff.dot_len(self.global);
-                let xs = wave(len, f64::sin, 0.29);
-                let ys = wave(len, f64::cos, 0.53);
+                let cut_to =
+                    |cut: Option<Cut>, (_, operand): (Precision, Operand), y: bool| match cut {
+                        Some(c) if c.y == y => {
+                            let w = aff.w(self.global[0]) as usize;
+                            let reach = operand.reach(aff.trips(), self.global, w);
+                            (reach * c.eighths / 8).max(1)
+                        }
+                        _ => len,
+                    };
+                let xs = wave(cut_to(cut, x, false), f64::sin, 0.29);
+                let ys = wave(cut_to(cut, y, true), f64::cos, 0.53);
                 m.insert("x".into(), FloatVec::from_f64_slice(&xs, x.0));
                 m.insert("y".into(), FloatVec::from_f64_slice(&ys, y.0));
             }
@@ -729,6 +815,36 @@ struct Engaged {
     chunked: bool,
     /// A fused dot-product loop once for a whole lock-step block.
     lockstep_dot: bool,
+    /// A work-item's fused dot-product loop in more than one strip.
+    long_dot: bool,
+    /// A fused dot-product loop refused before its first trip, its index
+    /// progression leaving an operand buffer.
+    dot_fault: bool,
+}
+
+/// How far a case moved the scratch's dot-loop tallies.
+struct Tallies([u64; 3]);
+
+impl Tallies {
+    fn of(scratch: &VmScratch) -> Tallies {
+        Tallies([
+            scratch.lockstep_dot_loops(),
+            scratch.long_dot_loops(),
+            scratch.dot_loop_faults(),
+        ])
+    }
+
+    /// What ran since `self`, and what `plan` decides at 8 threads.
+    fn engaged(&self, scratch: &VmScratch, plan: &LaunchPlan) -> Engaged {
+        let Tallies([dot, long, faults]) = Tallies::of(scratch);
+        Engaged {
+            lockstep: plan.lockstep(),
+            chunked: plan.chunks() > 1,
+            lockstep_dot: dot > self.0[0],
+            long_dot: long > self.0[1],
+            dot_fault: faults > self.0[2],
+        }
+    }
 }
 
 /// Runs one case through every engine and asserts agreement, and reports
@@ -749,7 +865,7 @@ fn check(case: &Case, scratch: &mut VmScratch) -> Engaged {
 
     let compiled = compile_kernel(k).expect("well-typed kernels compile");
     let mut got = case.buffers();
-    let dot_loops = scratch.lockstep_dot_loops();
+    let tallies = Tallies::of(scratch);
     let seq = compiled.run_with_scratch(&mut got, &launch, scratch);
     assert_eq!(
         seq.as_ref(),
@@ -758,7 +874,6 @@ fn check(case: &Case, scratch: &mut VmScratch) -> Engaged {
         kernel_to_string(k)
     );
     assert_same_bits(&want, &got, "vm", k);
-    let lockstep_dot = scratch.lockstep_dot_loops() > dot_loops;
     for threads in [2usize, 8] {
         let mut got = case.buffers();
         let par = compiled.run_parallel(&mut got, &launch, scratch, threads);
@@ -788,11 +903,30 @@ fn check(case: &Case, scratch: &mut VmScratch) -> Engaged {
     assert_same_bits(&want, &again, "reparsed", k);
 
     let plan = compiled.plan(&case.buffers(), &launch, 8);
-    Engaged {
-        lockstep: plan.lockstep(),
-        chunked: plan.chunks() > 1,
-        lockstep_dot,
+    tallies.engaged(scratch, &plan)
+}
+
+/// Runs a case whose dot loop has an operand buffer cut short through
+/// every engine: item by item or in lock step, and in chunks at 2 and 8
+/// threads, the VM must give the interpreter's result, its error when a
+/// read leaves the buffer, and its buffers, partial writes included.
+fn check_cut(case: &Case, scratch: &mut VmScratch) -> Engaged {
+    let k = &case.kernel;
+    check_kernel(k).expect("generated kernels are well-typed");
+    let launch = case.launch();
+    let mut want = case.buffers();
+    let interp = run_kernel(k, &mut want, &launch);
+    let compiled = compile_kernel(k).expect("well-typed kernels compile");
+    let tallies = Tallies::of(scratch);
+    for threads in [1usize, 2, 8] {
+        let mut got = case.buffers();
+        let vm = compiled.run_parallel(&mut got, &launch, scratch, threads);
+        let shown = kernel_to_string(k);
+        assert_eq!(vm, interp, "cut at {threads} threads\n{shown}");
+        assert_same_bits(&want, &got, &format!("cut at {threads} threads"), k);
     }
+    let plan = compiled.plan(&case.buffers(), &launch, 8);
+    tallies.engaged(scratch, &plan)
 }
 
 /// A random precision for every buffer parameter of `k`.
@@ -1083,6 +1217,7 @@ fn engines_and_analysis_agree_on_random_kernels() {
     let mut mutants = TestRng::new(seed("differential::mutants"));
     let mut scratch = VmScratch::new();
     let (mut lockstep, mut chunked, mut dot) = (0usize, 0usize, 0usize);
+    let (mut long, mut faults) = (0usize, 0usize);
     let mut accepted = 0usize;
     for case_no in 0..CASES {
         let case = strategy.generate(&mut rng);
@@ -1090,15 +1225,22 @@ fn engines_and_analysis_agree_on_random_kernels() {
         let retype = arb_precision_map(&case.kernel).generate(&mut maps);
         let compute = arb_precision_map(&case.kernel).generate(&mut maps);
         check_variants_share_the_kernels_analyses(&case.kernel, &retype, &compute);
-        let ran = check(&case, &mut scratch);
+        let ran = if case.cut() {
+            check_cut(&case, &mut scratch)
+        } else {
+            check(&case, &mut scratch)
+        };
         lockstep += usize::from(ran.lockstep);
         chunked += usize::from(ran.chunked);
         dot += usize::from(ran.lockstep_dot);
+        long += usize::from(ran.long_dot);
+        faults += usize::from(ran.dot_fault);
         let (defect, m) = mutant(&case.kernel, &mut mutants);
         accepted += usize::from(check_mutant(&case, defect, &m, &mut scratch));
     }
     let ran = format!(
-        "lock step ran on {lockstep}, chunks on {chunked} and lock-step dot loops on {dot} \
+        "lock step ran on {lockstep}, chunks on {chunked}, lock-step dot loops on {dot}, \
+         dot loops of several strips on {long} and dot loops leaving a buffer on {faults} \
          of {CASES} cases; the checker accepted {accepted} of their mutants"
     );
     println!("{ran}");
@@ -1113,6 +1255,9 @@ fn engines_and_analysis_agree_on_random_kernels() {
         accepted * 16 >= CASES && (CASES - accepted) * 16 >= CASES,
         "{ran}"
     );
+    // So must a work-item's dot loop of several strips, and the refusal
+    // of a dot loop whose reads leave a buffer.
+    assert!(long * 128 >= CASES && faults * 64 >= CASES, "{ran}");
 }
 
 /// Names the failing case when a check panics (the run is

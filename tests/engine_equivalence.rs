@@ -4,15 +4,17 @@
 //! arguments) and run through both the reference tree-walking interpreter
 //! and the bytecode VM. The two must agree bit for bit, buffers and
 //! operation counts alike, and both must match the counts the session
-//! logged — at every storage precision and with in-kernel casts.
+//! logged — at every storage precision and with in-kernel casts, at test
+//! size and at a size whose rows run in lock step and whose dot-product
+//! loops cross a 64-trip strip.
 
 use prescaler_ir::interp::{run_kernel, ArgValue, BufferMap, Launch};
 use prescaler_ir::passes::{insert_casts, retype_buffers};
-use prescaler_ir::vm::compile_kernel;
+use prescaler_ir::vm::{compile_kernel, VmScratch};
 use prescaler_ir::{FloatVec, Precision, ScalarBound};
 use prescaler_ocl::{Event, HostApp, ScalingSpec, Session};
 use prescaler_polybench::input::generate;
-use prescaler_polybench::{BenchKind, InputSet, PolyApp};
+use prescaler_polybench::{BenchKind, Dims, InputSet, PolyApp};
 use prescaler_sim::SystemModel;
 use std::collections::HashMap;
 
@@ -31,6 +33,11 @@ fn bits(v: &FloatVec) -> Vec<u64> {
 /// input range, and carried forward from launch to launch. Returns the
 /// number of launches replayed and of non-finite elements they wrote.
 fn replay(app: &PolyApp, spec: &ScalingSpec) -> (usize, usize) {
+    replay_on(app, spec, &mut VmScratch::new())
+}
+
+/// [`replay`], the VM running every launch on `scratch`.
+fn replay_on(app: &PolyApp, spec: &ScalingSpec, scratch: &mut VmScratch) -> (usize, usize) {
     let mut session = Session::new(SystemModel::system1(), app.program(), spec.clone());
     app.run(&mut session).expect("benchmark runs");
     let log = session.log();
@@ -96,7 +103,7 @@ fn replay(app: &PolyApp, spec: &ScalingSpec) -> (usize, usize) {
         let interp_counts = run_kernel(&variant, &mut by_interp, &launch)
             .unwrap_or_else(|e| panic!("{what}: interpreter: {e}"));
         let vm_counts = compile_kernel(&variant)
-            .and_then(|c| c.run(&mut by_vm, &launch))
+            .and_then(|c| c.run_with_scratch(&mut by_vm, &launch, scratch))
             .unwrap_or_else(|e| panic!("{what}: VM: {e}"));
         assert_eq!(interp_counts, vm_counts, "{what}: counts diverge");
         assert_eq!(
@@ -195,4 +202,50 @@ fn mixed_precision_objects_agree() {
             });
         replay(&app, &spec);
     }
+}
+
+/// `app` at 70 × 70 (× 70): its rows of 70 work-items run in lock-step
+/// blocks of 64 and 6 where the disjoint-access proof admits them, and
+/// its inner loops of 70 trips cross a 64-trip strip when a work-item
+/// runs one alone (CORR's and COVAR's refused kernels). FDTD-2D takes two
+/// time steps.
+fn at_lockstep_size(kind: BenchKind) -> PolyApp {
+    let dims = Dims {
+        tmax: 2,
+        ..Dims::square(70)
+    };
+    PolyApp::new(kind, dims, InputSet::Default, 7)
+}
+
+/// Object `i` stored at binary64, binary32 or binary16 by `i % 3`.
+fn mixed(app: &PolyApp) -> ScalingSpec {
+    let precisions = [Precision::Double, Precision::Single, Precision::Half];
+    labels(app)
+        .iter()
+        .enumerate()
+        .fold(ScalingSpec::baseline(), |spec, (i, l)| {
+            spec.with_target(l, precisions[i % 3])
+        })
+}
+
+#[test]
+fn all_benchmarks_agree_at_lockstep_size() {
+    let mut scratch = VmScratch::new();
+    for kind in BenchKind::ALL {
+        let app = at_lockstep_size(kind);
+        for spec in [
+            ScalingSpec::baseline(),
+            all_at(&app, Precision::Half),
+            mixed(&app),
+        ] {
+            replay_on(&app, &spec, &mut scratch);
+        }
+    }
+    // Both dot-loop executors ran: once per lock-step block, and item by
+    // item over more than one strip.
+    assert!(
+        scratch.lockstep_dot_loops() > 0,
+        "no lock-step dot loop ran"
+    );
+    assert!(scratch.long_dot_loops() > 0, "no dot loop crossed a strip");
 }
