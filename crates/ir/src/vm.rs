@@ -21,6 +21,20 @@
 //! from an undo log of raw element bits and replays item by item, which
 //! reproduces the sequential error and partial writes.
 //!
+//! The compiler gives each register a lane shape as it emits each op:
+//! *uniform*, one value in every lane of a block at one pc
+//! (`get_global_id(1)`, scalar arguments, pool constants, ops over uniform
+//! registers, loop counters that start uniform); *consecutive*, lane `l`
+//! holding lane 0's value plus `l` (`get_global_id(0)` plus a uniform
+//! value, loop counters that start consecutive); or *varying*, anything
+//! else, every variable a statement assigns included. A block runs an op
+//! whose sources are all uniform once, on its group's first lane, and
+//! copies the result over the group; decides a branch on a uniform
+//! condition from that lane; and moves the elements of a load or store
+//! whose index is consecutive as one slice, the span of its active lanes
+//! checked against the window once. Debug builds assert the shapes before
+//! taking either path.
+//!
 //! A fused dot-product loop (`Op::DotLoop`) never has an operand index
 //! that squares its counter, so each operand's index moves by a fixed
 //! stride per trip: a progression. The loop works out its trip count once
@@ -257,6 +271,133 @@ struct DotLoopArgs {
     count: u32,
 }
 
+impl Op {
+    /// Calls `f` on each register the op reads. The dot ops, whose
+    /// registers sit in side tables, report none: no block runs them once.
+    fn reads(&self, mut f: impl FnMut(Val)) {
+        let (i, fl) = (Val::I, Val::F);
+        match *self {
+            Op::Jump(_) | Op::Count { .. } | Op::Halt | Op::DotStep { .. } | Op::DotLoop { .. } => {
+            }
+            Op::JumpIfFalse { cond: a, .. }
+            | Op::IMov { src: a, .. }
+            | Op::IUn { a, .. }
+            | Op::IToF { a, .. }
+            | Op::Load { idx: a, .. }
+            | Op::IAddImmJump { a, .. }
+            | Op::CountAddJump { a, .. } => f(i(a)),
+            Op::FMov { src: a, .. }
+            | Op::FUn { a, .. }
+            | Op::Cvt { a, .. }
+            | Op::FToI { a, .. } => {
+                f(fl(a));
+            }
+            Op::IBin { a, b, .. } | Op::ICmp { a, b, .. } | Op::JumpICmpFalse { a, b, .. } => {
+                f(i(a));
+                f(i(b));
+            }
+            Op::FCmp { a, b, .. } | Op::FBin { a, b, .. } => {
+                f(fl(a));
+                f(fl(b));
+            }
+            Op::Store { idx, src, .. } => {
+                f(i(idx));
+                f(fl(src));
+            }
+            Op::SelectF { cond, a, b, .. } => {
+                f(i(cond));
+                f(fl(a));
+                f(fl(b));
+            }
+            Op::SelectI { cond, a, b, .. } => {
+                f(i(cond));
+                f(i(a));
+                f(i(b));
+            }
+            Op::LoadMulAdd { a, b, c, .. } => {
+                f(i(a));
+                f(i(b));
+                f(i(c));
+            }
+            Op::FMulAcc { acc, a, b, .. } => {
+                f(fl(acc));
+                f(fl(a));
+                f(fl(b));
+            }
+        }
+    }
+}
+
+/// What a register holds across the lanes of a lock-step block that sit
+/// at one pc, as the ops the compiler has emitted so far leave it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// One value in every lane.
+    Uniform,
+    /// Lane `l` holds lane 0's value plus `l` (integers only).
+    Consecutive,
+    /// Anything else.
+    Varying,
+}
+
+/// Registers of each kind whose lane shapes the compiler tracks; any
+/// other varies, as far as the compiler knows.
+const SHAPED: usize = 256;
+
+/// Each register's lane shape, as the ops emitted so far leave it. Held
+/// inline, so a compile allocates nothing for it.
+struct Shapes {
+    i: [Shape; SHAPED],
+    f: [Shape; SHAPED],
+}
+
+impl Shapes {
+    /// get_global_id(0) is consecutive and get_global_id(1) uniform; every
+    /// other register varies until an op writes it.
+    fn new() -> Shapes {
+        let mut i = [Shape::Varying; SHAPED];
+        i[..2].copy_from_slice(&[Shape::Consecutive, Shape::Uniform]);
+        Shapes {
+            i,
+            f: [Shape::Varying; SHAPED],
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, v: Val) -> Shape {
+        let (file, r) = match v {
+            Val::I(r) => (&self.i, r),
+            Val::F(r) => (&self.f, r),
+        };
+        file.get(r as usize).copied().unwrap_or(Shape::Varying)
+    }
+
+    #[inline(always)]
+    fn set(&mut self, v: Val, shape: Shape) {
+        let (file, r) = match v {
+            Val::I(r) => (&mut self.i, r),
+            Val::F(r) => (&mut self.f, r),
+        };
+        if let Some(s) = file.get_mut(r as usize) {
+            *s = shape;
+        }
+    }
+}
+
+/// How a lock-step block runs one op, from its sources' lane shapes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Run {
+    /// Lane by lane.
+    Lanes,
+    /// Every source is uniform: the op runs on the group's first lane,
+    /// then its destination, if any, is copied over the group (a branch
+    /// decides for the whole group).
+    Once(Option<Val>),
+    /// A load or store whose index is consecutive: its span is checked
+    /// once, then elements move by position.
+    Slice,
+}
+
 /// How one kernel parameter binds at launch. Scalar parameters carry the
 /// index of their pre-resolved argument slot (computed once at compile
 /// time), so launches bind arguments without any name scanning.
@@ -289,6 +430,8 @@ pub struct CompiledKernel {
     counts_table: Vec<OpCounts>,
     dot_table: Vec<DotStepArgs>,
     loop_table: Vec<DotLoopArgs>,
+    /// How a lock-step block runs each op of `ops`.
+    runs: Vec<Run>,
     /// Constant pool: registers written once per launch by `bind`.
     int_pool: Vec<(IReg, i64)>,
     float_pool: Vec<(FReg, f64)>,
@@ -344,6 +487,22 @@ impl VmScratch {
     #[must_use]
     pub fn lockstep_dot_loops(&self) -> u64 {
         self.tally(|w| w.lanes.dot_loops)
+    }
+
+    /// How many ops the runs on this scratch ran once for a group of
+    /// lock-step lanes, all of whose sources were uniform (for
+    /// diagnostics).
+    #[must_use]
+    pub fn uniform_ops(&self) -> u64 {
+        self.tally(|w| w.lanes.once)
+    }
+
+    /// How many loads and stores the runs on this scratch made for a
+    /// group of lock-step lanes over consecutive elements, with one span
+    /// check (for diagnostics).
+    #[must_use]
+    pub fn slice_accesses(&self) -> u64 {
+        self.tally(|w| w.lanes.slices)
     }
 
     /// How many times the runs on this scratch ran a fused dot-product
@@ -478,15 +637,18 @@ pub fn compile_with_safety(
     let mut c = Compiler {
         kernel,
         buffers,
-        ops: Vec::new(),
+        ops: Vec::with_capacity(32),
         counts_table: Vec::new(),
         dot_table: Vec::new(),
         loop_table: Vec::new(),
+        runs: Vec::with_capacity(32),
+        shapes: Shapes::new(),
         pending: OpCounts::new(),
         scopes: Scopes::new(),
-        next_i: 2, // iregs 0/1 are get_global_id(0)/(1)
+        next_i: 2,
         next_f: 0,
         mark: (2, 0),
+        lanes_only: false,
         params: Vec::new(),
         buf_index: HashMap::new(),
         int_pool: Vec::new(),
@@ -520,6 +682,7 @@ pub fn compile_with_safety(
                             reg,
                             slot,
                         });
+                        c.shapes.set(Val::I(reg), Shape::Uniform);
                         c.scopes.bind_root(name, (Val::I(reg), ScalarType::Int));
                     }
                     ScalarType::Float(prec) => {
@@ -530,6 +693,7 @@ pub fn compile_with_safety(
                             reg,
                             slot,
                         });
+                        c.shapes.set(Val::F(reg), Shape::Uniform);
                         c.scopes
                             .bind_root(name, (Val::F(reg), ScalarType::Float(prec)));
                     }
@@ -545,7 +709,10 @@ pub fn compile_with_safety(
 
     c.block(&kernel.body)?;
     c.flush();
-    c.ops.push(Op::Halt);
+    c.emit(Op::Halt);
+    if c.lanes_only {
+        c.runs.fill(Run::Lanes);
+    }
 
     Ok(CompiledKernel {
         name: kernel.name.clone(),
@@ -553,6 +720,7 @@ pub fn compile_with_safety(
         counts_table: c.counts_table,
         dot_table: c.dot_table,
         loop_table: c.loop_table,
+        runs: c.runs,
         int_pool: c.int_pool,
         float_pool: c.float_pool,
         params: c.params,
@@ -581,6 +749,10 @@ struct Compiler<'k> {
     counts_table: Vec<OpCounts>,
     dot_table: Vec<DotStepArgs>,
     loop_table: Vec<DotLoopArgs>,
+    /// How a lock-step block runs each op of `ops`, worked out as the op
+    /// is emitted.
+    runs: Vec<Run>,
+    shapes: Shapes,
     pending: OpCounts,
     scopes: Scopes<'k, (Val, ScalarType)>,
     next_i: u32,
@@ -589,6 +761,11 @@ struct Compiler<'k> {
     /// allocated: registers from here on are its temporaries, until it
     /// binds a variable (which it does after its last fusion).
     mark: (IReg, FReg),
+    /// Whether a statement assigns a parameter, which the type checker
+    /// refuses: its register then carries one work-item's value into the
+    /// next, so no op may count on its shape, and every op runs lane by
+    /// lane.
+    lanes_only: bool,
     params: Vec<ParamBind>,
     buf_index: HashMap<String, u16>,
     int_pool: Vec<(IReg, i64)>,
@@ -614,6 +791,7 @@ impl<'k> Compiler<'k> {
             return r;
         }
         let r = self.alloc_i();
+        self.shapes.set(Val::I(r), Shape::Uniform);
         self.int_pool.push((r, v));
         r
     }
@@ -625,8 +803,102 @@ impl<'k> Compiler<'k> {
             return r;
         }
         let r = self.alloc_f();
+        self.shapes.set(Val::F(r), Shape::Uniform);
         self.float_pool.push((r, v));
         r
+    }
+
+    /// Appends `op`, working out how a lock-step block runs it and the
+    /// lane shape of the register it writes. Kept out of line: inlined at
+    /// every call site it grew the compiler's code by a sixth, and a
+    /// compile that runs between other work fetches all of its code.
+    #[inline(never)]
+    fn emit(&mut self, op: Op) {
+        let run = self.run_of(&op);
+        self.ops.push(op);
+        self.runs.push(run);
+    }
+
+    /// Drops the ops from `len` on, so a fusion can replace them.
+    fn truncate(&mut self, len: usize) {
+        self.ops.truncate(len);
+        self.runs.truncate(len);
+    }
+
+    /// How a lock-step block runs `op`, from the lane shapes of the
+    /// registers it reads, and the shape its destination takes:
+    /// - an op whose sources are all uniform runs once (a store, a count
+    ///   site or a jump gains nothing), and its destination is uniform;
+    /// - a load whose index is consecutive, or a `LoadMulAdd` whose
+    ///   `a*b` is uniform and `c` consecutive, moves a slice, as does a
+    ///   store whose index is consecutive;
+    /// - gid0 plus (or minus) a uniform value is consecutive, as is a copy
+    ///   of a consecutive value or a back-edge's step of a consecutive
+    ///   counter;
+    /// - any other destination varies.
+    fn run_of(&mut self, op: &Op) -> Run {
+        use Shape::{Consecutive as C, Uniform as U, Varying as V};
+        let i = |r: IReg| self.shapes.get(Val::I(r));
+        let f = |r: FReg| self.shapes.get(Val::F(r));
+        let all = |sources: &[Shape]| {
+            if sources.iter().all(|&s| s == U) {
+                U
+            } else {
+                V
+            }
+        };
+        let once = |uniform: bool| if uniform { Run::Once(None) } else { Run::Lanes };
+        let (dst, shape) = match *op {
+            Op::Jump(_) | Op::Count { .. } | Op::Halt | Op::DotStep { .. } | Op::DotLoop { .. } => {
+                return Run::Lanes;
+            }
+            Op::Store { idx, .. } => {
+                return if i(idx) == C { Run::Slice } else { Run::Lanes };
+            }
+            Op::JumpIfFalse { cond, .. } => return once(i(cond) == U),
+            Op::JumpICmpFalse { a, b, .. } => return once(i(a) == U && i(b) == U),
+            Op::IMov { dst, src: a }
+            | Op::IAddImmJump { dst, a, .. }
+            | Op::CountAddJump { dst, a, .. } => (Val::I(dst), i(a)),
+            Op::IBin { op, dst, a, b } => {
+                let shape = match (op, i(a), i(b)) {
+                    (_, U, U) => U,
+                    (FloatBinOp::Add, U, C) | (FloatBinOp::Add | FloatBinOp::Sub, C, U) => C,
+                    _ => V,
+                };
+                (Val::I(dst), shape)
+            }
+            Op::IUn { dst, a, .. } => (Val::I(dst), all(&[i(a)])),
+            Op::ICmp { dst, a, b, .. } => (Val::I(dst), all(&[i(a), i(b)])),
+            Op::FCmp { dst, a, b, .. } => (Val::I(dst), all(&[f(a), f(b)])),
+            Op::FToI { dst, a } => (Val::I(dst), f(a)),
+            Op::SelectI { cond, dst, a, b } => (Val::I(dst), all(&[i(cond), i(a), i(b)])),
+            Op::FMov { dst, src: a } | Op::FUn { dst, a, .. } | Op::Cvt { dst, a, .. } => {
+                (Val::F(dst), f(a))
+            }
+            Op::FBin { dst, a, b, .. } => (Val::F(dst), all(&[f(a), f(b)])),
+            Op::IToF { dst, a, .. } => (Val::F(dst), all(&[i(a)])),
+            Op::SelectF { cond, dst, a, b } => (Val::F(dst), all(&[i(cond), f(a), f(b)])),
+            Op::FMulAcc { dst, acc, a, b, .. } => (Val::F(dst), all(&[f(acc), f(a), f(b)])),
+            // A load takes its index's shape here; below, a consecutive
+            // one makes it a slice of values that vary.
+            Op::Load { idx, dst, .. } => (Val::F(dst), i(idx)),
+            Op::LoadMulAdd { a, b, c, dst, .. } => {
+                (Val::F(dst), if all(&[i(a), i(b)]) == U { i(c) } else { V })
+            }
+        };
+        let run = match (dst, shape) {
+            (_, U) => Run::Once(Some(dst)),
+            (Val::F(_), C) => Run::Slice,
+            _ => Run::Lanes,
+        };
+        let shape = if matches!(dst, Val::F(_)) && shape == C {
+            V
+        } else {
+            shape
+        };
+        self.shapes.set(dst, shape);
+        run
     }
 
     /// The variant's element precision of buffer `name`: that of the first
@@ -679,7 +951,7 @@ impl<'k> Compiler<'k> {
     /// Flushes the pending straight-line counts as a `Count` op.
     fn flush(&mut self) {
         if let Some(idx) = self.take_counts() {
-            self.ops.push(Op::Count { idx });
+            self.emit(Op::Count { idx });
         }
     }
 
@@ -740,10 +1012,16 @@ impl<'k> Compiler<'k> {
             };
             if let Some(written) = written.filter(|w| **w == src.reg()) {
                 *written = dst.reg();
+                // `dst` takes the temporary's shape, and a uniform op
+                // fills `dst` instead.
+                self.shapes.set(dst, self.shapes.get(src));
+                if let Some(Run::Once(Some(d))) = self.runs.last_mut() {
+                    *d = dst;
+                }
                 return;
             }
         }
-        self.ops.push(match (dst, src) {
+        self.emit(match (dst, src) {
             (Val::I(dst), Val::I(src)) => Op::IMov { dst, src },
             (Val::F(dst), Val::F(src)) => Op::FMov { dst, src },
             _ => unreachable!("copies keep their kind"),
@@ -770,7 +1048,7 @@ impl<'k> Compiler<'k> {
                 && self.is_temp(Val::I(t))
                 && self.is_temp(Val::I(sum))
             {
-                self.ops.truncate(self.ops.len() - 2);
+                self.truncate(self.ops.len() - 2);
                 // Wrapping add commutes, so either operand slot works.
                 let c = if x == t { y } else { x };
                 return Op::LoadMulAdd { buf, a, b, c, dst };
@@ -805,7 +1083,7 @@ impl<'k> Compiler<'k> {
         if op != FloatBinOp::Add || t != b || !self.is_temp(Val::F(t)) {
             return unfused;
         }
-        self.ops.pop();
+        self.truncate(self.ops.len() - 1);
         if let [.., Op::LoadMulAdd {
             buf: buf1,
             a: a1,
@@ -821,7 +1099,7 @@ impl<'k> Compiler<'k> {
         }] = self.ops[..]
         {
             if (t1, t2) == (x, y) && self.is_temp(Val::F(t1)) && self.is_temp(Val::F(t2)) {
-                self.ops.truncate(self.ops.len() - 2);
+                self.truncate(self.ops.len() - 2);
                 let idx = self.dot_table.len() as u32;
                 self.dot_table.push(DotStepArgs {
                     pm,
@@ -899,6 +1177,15 @@ impl<'k> Compiler<'k> {
                     )));
                 }
                 self.mov(slot, v);
+                // Written under a branch the lanes disagree on, or in a loop
+                // whose trip count differs by lane, a variable holds other
+                // values in lanes that meet again at one pc.
+                self.shapes.set(slot, Shape::Varying);
+                self.lanes_only |= self.params.iter().any(|p| match *p {
+                    ParamBind::ScalarInt { reg, .. } => slot == Val::I(reg),
+                    ParamBind::ScalarFloat { reg, .. } => slot == Val::F(reg),
+                    ParamBind::Buffer { .. } => false,
+                });
             }
             Stmt::Store { buf, index, value } => {
                 let Some(elem) = self.buffer_elem(buf) else {
@@ -926,7 +1213,7 @@ impl<'k> Compiler<'k> {
                     Val::F(r) => r,
                     Val::I(a) => {
                         let dst = self.alloc_f();
-                        self.ops.push(Op::IToF { prec: elem, dst, a });
+                        self.emit(Op::IToF { prec: elem, dst, a });
                         dst
                     }
                 };
@@ -934,7 +1221,7 @@ impl<'k> Compiler<'k> {
                 let Some(&b) = self.buf_index.get(buf) else {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
-                self.ops.push(Op::Store { buf: b, idx, src });
+                self.emit(Op::Store { buf: b, idx, src });
             }
             Stmt::For {
                 var,
@@ -950,28 +1237,43 @@ impl<'k> Compiler<'k> {
                     )));
                 }
                 let mut e = ev.ireg();
+                // Lanes at one pc in the loop share a trip (the lanes at the
+                // lowest pc run first, so lanes that leave early wait at
+                // the exit), but from the second trip on a variable the
+                // body assigns may differ between them: it varies from the
+                // loop head on, and so does the counter if the body assigns
+                // it (the type checker refuses that).
+                let (mut bound_assigned, mut counter_assigned) = (false, false);
+                let Compiler { scopes, shapes, .. } = self;
+                visit_stmts(body, &mut |s| {
+                    let Stmt::Assign { name, .. } = s else {
+                        return;
+                    };
+                    bound_assigned |= matches!(end, Expr::Var(bound) if bound == name);
+                    counter_assigned |= name == var;
+                    if let Some(&(v, _)) = scopes.get(name) {
+                        shapes.set(v, Shape::Varying);
+                    }
+                });
                 // The interpreter reads the bound once: a variable the
                 // body assigns is copied at loop entry.
-                if let Expr::Var(bound) = end {
-                    let mut assigned = false;
-                    visit_stmts(body, &mut |s| {
-                        assigned |= matches!(s, Stmt::Assign { name, .. } if name == bound);
-                    });
-                    if assigned {
-                        let copy = self.alloc_i();
-                        self.ops.push(Op::IMov { dst: copy, src: e });
-                        e = copy;
-                    }
+                if bound_assigned {
+                    let copy = self.alloc_i();
+                    self.emit(Op::IMov { dst: copy, src: e });
+                    e = copy;
                 }
                 let var_reg = self.alloc_i();
                 self.mov(Val::I(var_reg), sv);
+                if counter_assigned {
+                    self.shapes.set(Val::I(var_reg), Shape::Varying);
+                }
                 self.flush();
                 let head = self.here();
                 // The compare's result register: fused into the branch, it
                 // keeps its number like every consumed temporary.
                 self.alloc_i();
                 let exit_jump = self.ops.len();
-                self.ops.push(Op::JumpICmpFalse {
+                self.emit(Op::JumpICmpFalse {
                     op: CmpOp::Lt,
                     a: var_reg,
                     b: e,
@@ -999,7 +1301,7 @@ impl<'k> Compiler<'k> {
                         target: head,
                     },
                 };
-                self.ops.push(back_edge);
+                self.emit(back_edge);
                 if !self.fuse_dot_loop(head as usize) {
                     let after = self.here();
                     self.patch_jump(exit_jump, after);
@@ -1019,7 +1321,7 @@ impl<'k> Compiler<'k> {
                 let c = cv.ireg();
                 self.flush();
                 let else_jump = self.ops.len();
-                self.ops.push(Op::JumpIfFalse {
+                self.emit(Op::JumpIfFalse {
                     cond: c,
                     target: u32::MAX,
                 });
@@ -1030,7 +1332,7 @@ impl<'k> Compiler<'k> {
                     self.patch_jump(else_jump, after);
                 } else {
                     let end_jump = self.ops.len();
-                    self.ops.push(Op::Jump(u32::MAX));
+                    self.emit(Op::Jump(u32::MAX));
                     let else_start = self.here();
                     self.patch_jump(else_jump, else_start);
                     self.scoped(|cc| cc.block(else_body))?;
@@ -1063,7 +1365,7 @@ impl<'k> Compiler<'k> {
         // The body's one op is the last dot step made.
         debug_assert_eq!(idx as usize + 1, self.dot_table.len());
         self.dot_table.pop();
-        self.ops.truncate(head);
+        self.truncate(head);
         let idx = self.loop_table.len() as u32;
         self.loop_table.push(DotLoopArgs {
             var,
@@ -1071,7 +1373,7 @@ impl<'k> Compiler<'k> {
             step,
             count,
         });
-        self.ops.push(Op::DotLoop { idx });
+        self.emit(Op::DotLoop { idx });
         true
     }
 
@@ -1085,7 +1387,7 @@ impl<'k> Compiler<'k> {
             ScalarType::Float(prec) => {
                 let dst = self.alloc_f();
                 match v {
-                    Val::I(a) => self.ops.push(Op::IToF { prec, dst, a }),
+                    Val::I(a) => self.emit(Op::IToF { prec, dst, a }),
                     // A temporary dot step's sum takes the conversion as
                     // the step's third rounding.
                     Val::F(a) => match self.ops.last() {
@@ -1098,14 +1400,14 @@ impl<'k> Compiler<'k> {
                             step.post = prec;
                             step.dst = dst;
                         }
-                        _ => self.ops.push(Op::Cvt { prec, dst, a }),
+                        _ => self.emit(Op::Cvt { prec, dst, a }),
                     },
                 }
                 Val::F(dst)
             }
             _ => {
                 let dst = self.alloc_i();
-                self.ops.push(Op::FToI { dst, a: v.freg() });
+                self.emit(Op::FToI { dst, a: v.freg() });
                 Val::I(dst)
             }
         };
@@ -1151,7 +1453,7 @@ impl<'k> Compiler<'k> {
                     return Err(ExecError::NotABuffer(buf.clone()));
                 };
                 let load = self.load(b, idx, dst);
-                self.ops.push(load);
+                self.emit(load);
                 Ok((Val::F(dst), ScalarType::Float(elem)))
             }
             Expr::Unary { op, arg } => {
@@ -1160,7 +1462,7 @@ impl<'k> Compiler<'k> {
                     ScalarType::Float(p) => {
                         self.pending.count_unary(*op, Some(p));
                         let dst = self.alloc_f();
-                        self.ops.push(Op::FUn {
+                        self.emit(Op::FUn {
                             prec: p,
                             op: *op,
                             dst,
@@ -1173,7 +1475,7 @@ impl<'k> Compiler<'k> {
                         match op {
                             UnaryFn::Neg | UnaryFn::Fabs => {
                                 let dst = self.alloc_i();
-                                self.ops.push(Op::IUn {
+                                self.emit(Op::IUn {
                                     op: *op,
                                     dst,
                                     a: v.ireg(),
@@ -1183,13 +1485,13 @@ impl<'k> Compiler<'k> {
                             _ => {
                                 // sqrt/exp/log of an int computes in double.
                                 let wide = self.alloc_f();
-                                self.ops.push(Op::IToF {
+                                self.emit(Op::IToF {
                                     prec: Precision::Double,
                                     dst: wide,
                                     a: v.ireg(),
                                 });
                                 let dst = self.alloc_f();
-                                self.ops.push(Op::FUn {
+                                self.emit(Op::FUn {
                                     prec: Precision::Double,
                                     op: *op,
                                     dst,
@@ -1215,7 +1517,7 @@ impl<'k> Compiler<'k> {
                     (ScalarType::Int, ScalarType::Int) => {
                         self.pending.count_bin(*op, None);
                         let dst = self.alloc_i();
-                        self.ops.push(Op::IBin {
+                        self.emit(Op::IBin {
                             op: *op,
                             dst,
                             a: a.ireg(),
@@ -1230,7 +1532,7 @@ impl<'k> Compiler<'k> {
                         self.pending.count_bin(*op, Some(p));
                         let dst = self.alloc_f();
                         let fbin = self.fbin(p, *op, dst, fa, fb);
-                        self.ops.push(fbin);
+                        self.emit(fbin);
                         Ok((Val::F(dst), ScalarType::Float(p)))
                     }
                 }
@@ -1246,7 +1548,7 @@ impl<'k> Compiler<'k> {
                     (ScalarType::Int, ScalarType::Int) => {
                         self.pending.count_cmp(None);
                         let dst = self.alloc_i();
-                        self.ops.push(Op::ICmp {
+                        self.emit(Op::ICmp {
                             op: *op,
                             dst,
                             a: a.ireg(),
@@ -1261,7 +1563,7 @@ impl<'k> Compiler<'k> {
                         let fa = self.float_operand(a, ta, Precision::Double);
                         let fb = self.float_operand(b, tb, Precision::Double);
                         let dst = self.alloc_i();
-                        self.ops.push(Op::FCmp {
+                        self.emit(Op::FCmp {
                             op: *op,
                             dst,
                             a: fa,
@@ -1290,7 +1592,7 @@ impl<'k> Compiler<'k> {
                 let (b, _) = self.coerce(b, tb, t);
                 if t == ScalarType::Int {
                     let dst = self.alloc_i();
-                    self.ops.push(Op::SelectI {
+                    self.emit(Op::SelectI {
                         cond: c,
                         dst,
                         a: a.ireg(),
@@ -1299,7 +1601,7 @@ impl<'k> Compiler<'k> {
                     Ok((Val::I(dst), t))
                 } else {
                     let dst = self.alloc_f();
-                    self.ops.push(Op::SelectF {
+                    self.emit(Op::SelectF {
                         cond: c,
                         dst,
                         a: a.freg(),
@@ -1339,7 +1641,7 @@ impl<'k> Compiler<'k> {
             ScalarType::Float(_) | ScalarType::Bool => v.freg(),
             ScalarType::Int => {
                 let dst = self.alloc_f();
-                self.ops.push(Op::IToF {
+                self.emit(Op::IToF {
                     prec: p,
                     dst,
                     a: v.ireg(),
@@ -2049,9 +2351,13 @@ impl CompiledKernel {
     /// disagree on retires the lanes it sends to `Halt`; any other split
     /// gives each lane its own pc, and the lanes at the lowest pc run
     /// next, so lanes that left a loop or skipped a branch wait at the
-    /// join for the rest and then run together again. Stores log the bits
-    /// they overwrite to `lanes.undo`; an error, or a store the full log
-    /// has no room for, leaves the block half run for
+    /// join for the rest and then run together again. An op the compiler
+    /// tagged [`Run::Once`] runs on the group's first lane and copies its
+    /// destination over the lanes the op writes, and a branch it tagged so
+    /// decides for the whole group; a load or store tagged [`Run::Slice`]
+    /// checks its active lanes' span once and moves elements by position.
+    /// Stores log the bits they overwrite to `lanes.undo`; an error, or a
+    /// store the full log has no room for, leaves the block half run for
     /// [`CompiledKernel::exec_rows`] to roll back.
     #[allow(clippy::too_many_lines)]
     fn exec_block(
@@ -2069,6 +2375,8 @@ impl CompiledKernel {
             pc: pcs,
             ix,
             dot_loops,
+            once,
+            slices,
             undo,
             hits,
         } = lanes;
@@ -2106,6 +2414,21 @@ impl CompiledKernel {
             } else {
                 (active, Sel::All(width), Sel::Mask(active))
             };
+            let run = self.runs[pc];
+            // A uniform op runs on the group's first lane; `fill` is where
+            // its result goes.
+            let (alu, fx, fill) = if let Run::Once(_) = run {
+                if cfg!(debug_assertions) {
+                    assert_uniform(&self.ops[pc], ir, fr, fx);
+                }
+                *once += 1;
+                let first = Sel::Mask(group & group.wrapping_neg());
+                (first, first, alu)
+            } else {
+                (alu, fx, alu)
+            };
+            let slice = run == Run::Slice;
+            *slices += u64::from(slice);
             let flow = match self.ops[pc] {
                 Op::Halt => Flow::Halt,
                 Op::Jump(t) => Flow::Goto(t as usize),
@@ -2183,14 +2506,30 @@ impl CompiledKernel {
                     Flow::Next
                 }
                 Op::Load { buf, idx, dst } => {
-                    mem.load_lanes(buf, &ir[idx as usize], &mut fr[dst as usize], fx)?;
+                    let (idx, dst) = (&ir[idx as usize], &mut fr[dst as usize]);
+                    if slice {
+                        if cfg!(debug_assertions) {
+                            assert_consecutive(idx, fx);
+                        }
+                        mem.load_run(buf, idx[fx.first()], dst, fx)?;
+                    } else {
+                        mem.load_lanes(buf, idx, dst, fx)?;
+                    }
                     Flow::Next
                 }
                 Op::Store { buf, idx, src } => {
                     if undo.len() + BLOCK > MAX_UNDO {
                         return Err(ExecError::KindError("lock-step undo log full".to_owned()));
                     }
-                    mem.store_lanes(buf, &ir[idx as usize], &fr[src as usize], fx, undo)?;
+                    let (idx, src) = (&ir[idx as usize], &fr[src as usize]);
+                    if slice {
+                        if cfg!(debug_assertions) {
+                            assert_consecutive(idx, fx);
+                        }
+                        mem.store_run(buf, idx[fx.first()], src, fx, undo)?;
+                    } else {
+                        mem.store_lanes(buf, idx, src, fx, undo)?;
+                    }
                     Flow::Next
                 }
                 Op::SelectF { cond, dst, a, b } => {
@@ -2227,8 +2566,18 @@ impl CompiledKernel {
                 }
                 Op::LoadMulAdd { buf, a, b, c, dst } => {
                     let (a, b, c) = (&ir[a as usize], &ir[b as usize], &ir[c as usize]);
-                    each_lane!(fx, |l| ix[l] = a[l].wrapping_mul(b[l]).wrapping_add(c[l]));
-                    mem.load_lanes(buf, ix, &mut fr[dst as usize], fx)?;
+                    let index = |l: usize| a[l].wrapping_mul(b[l]).wrapping_add(c[l]);
+                    let dst = &mut fr[dst as usize];
+                    if slice {
+                        if cfg!(debug_assertions) {
+                            each_lane!(fx, |l| ix[l] = index(l));
+                            assert_consecutive(ix, fx);
+                        }
+                        mem.load_run(buf, index(fx.first()), dst, fx)?;
+                    } else {
+                        each_lane!(fx, |l| ix[l] = index(l));
+                        mem.load_lanes(buf, ix, dst, fx)?;
+                    }
                     Flow::Next
                 }
                 Op::FMulAcc {
@@ -2281,6 +2630,13 @@ impl CompiledKernel {
                     Flow::Next
                 }
             };
+            if let Run::Once(Some(dst)) = run {
+                let first = group.trailing_zeros() as usize;
+                match dst {
+                    Val::I(d) => broadcast(&mut ir[d as usize], first, fill),
+                    Val::F(d) => broadcast(&mut fr[d as usize], first, fill),
+                }
+            }
             let next = match flow {
                 Flow::Next => pc + 1,
                 Flow::Goto(t) => t,
@@ -2291,7 +2647,12 @@ impl CompiledKernel {
                     }
                     continue;
                 }
-                Flow::Branch { taken, target } => {
+                Flow::Branch { mut taken, target } => {
+                    // A uniform condition, decided on one lane, holds for
+                    // the whole group.
+                    if taken != 0 && matches!(run, Run::Once(_)) {
+                        taken = group;
+                    }
                     if taken == 0 {
                         pc + 1
                     } else if taken == group {
@@ -2517,6 +2878,14 @@ impl Sel {
             Sel::Mask(m) => m.trailing_zeros() as usize,
         }
     }
+
+    /// The highest lane.
+    fn last(self) -> usize {
+        match self {
+            Sel::All(width) => width.min(BLOCK) - 1,
+            Sel::Mask(m) => 63 - m.leading_zeros() as usize,
+        }
+    }
 }
 
 /// Where the lock-step executor goes after an op.
@@ -2547,6 +2916,10 @@ struct Lanes {
     ix: [i64; BLOCK],
     /// Dot loops run once for a whole block since the scratch was made.
     dot_loops: u64,
+    /// Ops run once for a whole group of lanes since the scratch was made.
+    once: u64,
+    /// Loads and stores that moved a slice since the scratch was made.
+    slices: u64,
     /// The running block's overwritten elements, oldest first.
     undo: Vec<Undo>,
     /// The running block's count-site hits.
@@ -2561,6 +2934,8 @@ impl Default for Lanes {
             pc: [0; BLOCK],
             ix: [0; BLOCK],
             dot_loops: 0,
+            once: 0,
+            slices: 0,
             undo: Vec::new(),
             hits: Vec::new(),
         }
@@ -2604,6 +2979,47 @@ fn lanes_where(sel: Sel, f: impl Fn(usize) -> bool) -> u64 {
     let mut m = 0u64;
     each_lane!(sel, |l| m |= u64::from(f(l)) << l);
     m
+}
+
+/// Copies lane `first` of `r` over the lanes of `sel`.
+#[inline(always)]
+fn broadcast<T: Copy>(r: &mut [T; BLOCK], first: usize, sel: Sel) {
+    let v = r[first];
+    match sel {
+        Sel::All(width) => r[..width.min(BLOCK)].fill(v),
+        Sel::Mask(_) => each_lane!(sel, |l| r[l] = v),
+    }
+}
+
+/// Debug builds' check of an op about to run once: each register it reads
+/// holds one value, bit for bit, across the lanes of `sel`.
+fn assert_uniform(op: &Op, ir: &[[i64; BLOCK]], fr: &[[f64; BLOCK]], sel: Sel) {
+    let first = sel.first();
+    op.reads(|v| {
+        let differ = match v {
+            Val::I(r) => lanes_where(sel, |l| ir[r as usize][l] != ir[r as usize][first]),
+            Val::F(r) => lanes_where(sel, |l| {
+                fr[r as usize][l].to_bits() != fr[r as usize][first].to_bits()
+            }),
+        };
+        assert!(
+            differ == 0,
+            "{op:?} runs once, but {v:?} differs in lanes {differ:#x}"
+        );
+    });
+}
+
+/// Debug builds' check of a slice access: its index steps by one from
+/// lane to lane of `sel`.
+fn assert_consecutive(idx: &[i64; BLOCK], sel: Sel) {
+    let first = sel.first();
+    let off = lanes_where(sel, |l| {
+        idx[l] != idx[first].wrapping_add((l - first) as i64)
+    });
+    assert!(
+        off == 0,
+        "a slice's index is not consecutive in lanes {off:#x}"
+    );
 }
 
 /// `r[d][l] = f(r[a][l])` over the lanes of `sel`.
@@ -3159,6 +3575,62 @@ impl<T: Elem> Window<'_, T> {
         Ok(())
     }
 
+    /// `dst[l]` = element `first + (l - l0)` for each lane `l` of `sel`,
+    /// `l0` its lowest: a consecutive index, its span checked once.
+    #[inline(always)]
+    fn read_run(&self, first: i64, dst: &mut [f64; BLOCK], sel: Sel) -> Result<(), ExecError> {
+        let at = self.span().run(first, sel)?;
+        let e = self.elems();
+        match sel {
+            Sel::All(width) => {
+                let n = width.min(BLOCK);
+                for (d, v) in dst[..n].iter_mut().zip(&e[at..at + n]) {
+                    *d = v.widen();
+                }
+            }
+            Sel::Mask(_) => {
+                let l0 = sel.first();
+                each_lane!(sel, |l| dst[l] = e[at + (l - l0)].widen());
+            }
+        }
+        Ok(())
+    }
+
+    /// Rounds `v[l]` into element `first + (l - l0)` for each lane `l` of
+    /// `sel`, `l0` its lowest, in lane order, handing each element's old
+    /// bits to `log` first: a consecutive index, its span checked once.
+    #[inline(always)]
+    fn write_run(
+        &mut self,
+        first: i64,
+        v: &[f64; BLOCK],
+        sel: Sel,
+        mut log: impl FnMut(usize, u64),
+    ) -> Result<(), ExecError> {
+        let at = self.span().run(first, sel)?;
+        let Elems::Mut(e) = &mut self.elems else {
+            return Err(shared_store());
+        };
+        match sel {
+            Sel::All(width) => {
+                let n = width.min(BLOCK);
+                for (l, x) in e[at..at + n].iter_mut().enumerate() {
+                    log(at + l, x.bits());
+                    *x = T::narrow(v[l]);
+                }
+            }
+            Sel::Mask(_) => {
+                let l0 = sel.first();
+                each_lane!(sel, |l| {
+                    let p = at + (l - l0);
+                    log(p, e[p].bits());
+                    e[p] = T::narrow(v[l]);
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Where this window lies in its buffer.
     fn span(&self) -> Span<'_> {
         Span {
@@ -3249,6 +3721,19 @@ impl Span<'_> {
             room as u64 / stride.unsigned_abs() + 1
         };
         (inside < trips).then_some(inside)
+    }
+
+    /// The window position of index `first`, when the lanes of `sel` from
+    /// its lowest to its highest hold `first`, `first + 1`, … and every
+    /// one of those indices lies in the window; otherwise the error of the
+    /// lowest outside.
+    #[inline(always)]
+    fn run(&self, first: i64, sel: Sel) -> Result<usize, ExecError> {
+        let n = (sel.last() - sel.first() + 1) as u64;
+        match self.exit(first, 1, n) {
+            None => Ok(first.wrapping_sub(self.lo) as usize),
+            Some(t) => Err(self.outside_at(first, 1, t)),
+        }
     }
 
     /// The error of trip `t`'s read, outside the window, of progression
@@ -3396,6 +3881,52 @@ impl Mem<'_> {
             }
             Mem::Chunk(slots) => {
                 on_window!(&mut slots[buf as usize], |w| w.scatter(idx, src, sel, log))
+            }
+        }
+    }
+
+    /// [`Mem::load`]s element `first + (l - l0)` into `dst[l]` for each
+    /// lane `l` of `sel`, `l0` its lowest ([`Window::read_run`]).
+    #[inline(never)]
+    fn load_run(
+        &self,
+        buf: u16,
+        first: i64,
+        dst: &mut [f64; BLOCK],
+        sel: Sel,
+    ) -> Result<(), ExecError> {
+        match self {
+            Mem::Whole(bufs) => {
+                let (name, data) = &bufs[buf as usize];
+                by_elem!(data, |v, _slot| whole(name, Elems::Shared(v))
+                    .read_run(first, dst, sel))
+            }
+            Mem::Chunk(slots) => on_window!(&slots[buf as usize], |w| w.read_run(first, dst, sel)),
+        }
+    }
+
+    /// [`Mem::store`]s `src[l]` to element `first + (l - l0)` for each
+    /// lane `l` of `sel`, `l0` its lowest, in lane order, logging the bits
+    /// each store overwrites ([`Window::write_run`]).
+    #[inline(never)]
+    fn store_run(
+        &mut self,
+        buf: u16,
+        first: i64,
+        src: &[f64; BLOCK],
+        sel: Sel,
+        undo: &mut Vec<Undo>,
+    ) -> Result<(), ExecError> {
+        let log = |at, bits| undo.push(Undo { buf, at, bits });
+        match self {
+            Mem::Whole(bufs) => {
+                let (name, data) = &mut bufs[buf as usize];
+                by_elem!(data, |v, _slot| whole(name, Elems::Mut(v))
+                    .write_run(first, src, sel, log))
+            }
+            Mem::Chunk(slots) => {
+                on_window!(&mut slots[buf as usize], |w| w
+                    .write_run(first, src, sel, log))
             }
         }
     }
@@ -4880,6 +5411,185 @@ mod tests {
             let result = compiled.run(&mut bufs.clone(), &launch);
             assert_eq!(result.is_err(), !chunks, "{result:?}");
         }
+    }
+
+    /// `d[at] = 2; c[at] = c[at]*0.5 + x[i*k + 1] + y[at + s]` for the
+    /// items with `j < w - g`, `at = i*w + j`: `x`'s index is one value
+    /// along a row, so a block loads it once; `at` and `at + s` are
+    /// consecutive, so a block moves slices of `c`, `d` and `y`.
+    fn shaped_kernel() -> Kernel {
+        let at = || var("at");
+        let mut k = kernel("shaped")
+            .buffer("x", Precision::Double, Access::Read)
+            .buffer("y", Precision::Single, Access::Read)
+            .buffer("c", Precision::Half, Access::ReadWrite)
+            .buffer("d", Precision::Double, Access::Write);
+        for name in ["w", "k", "s", "g"] {
+            k = k.int_param(name);
+        }
+        k.body(vec![
+            let_("j", global_id(0)),
+            let_("i", global_id(1)),
+            if_(
+                lt(var("j"), var("w") - var("g")),
+                vec![
+                    let_("at", var("i") * var("w") + var("j")),
+                    store("d", at(), flit(2.0)),
+                    store(
+                        "c",
+                        at(),
+                        load("c", at()) * flit(0.5)
+                            + load("x", var("i") * var("k") + int(1))
+                            + load("y", at() + var("s")),
+                    ),
+                ],
+            ),
+        ])
+    }
+
+    /// Runs [`shaped_kernel`] over `rows` rows of 8 items, item by item,
+    /// and of 70 items, in lock step, with `k = 5`, `s = 3` and `g = 2`,
+    /// each buffer as long as the launch's reads need less its entry of
+    /// `short` (`x`, `y`, `c`, `d`): against the interpreter at 1, 2 and 8
+    /// threads (result, counts and partial writes), and sequentially
+    /// against `want`, the error of the first item that fails, if any,
+    /// given the row width. Returns, per width, the sequential run's
+    /// tallies of ops run once and of slice accesses.
+    fn check_shaped(
+        rows: usize,
+        short: [usize; 4],
+        want: impl Fn(usize) -> Option<ExecError>,
+    ) -> Vec<(u64, u64)> {
+        let k = shaped_kernel();
+        let compiled = compile_kernel(&k).unwrap();
+        let mut tallies = Vec::new();
+        for w in [8usize, 70] {
+            let need = [5 * (rows - 1) + 2, rows * w + 3, rows * w, rows * w];
+            let len = |b: usize| need[b] - short[b];
+            let wave = |n: usize, at: f64| -> Vec<f64> {
+                (0..n).map(|e| (e as f64 * at).sin() * 4.0).collect()
+            };
+            let mut bufs = BufferMap::new();
+            bufs.insert(
+                "x".into(),
+                FloatVec::from_f64_slice(&wave(len(0), 0.3), Precision::Double),
+            );
+            bufs.insert(
+                "y".into(),
+                FloatVec::from_f64_slice(&wave(len(1), 0.7), Precision::Single),
+            );
+            bufs.insert(
+                "c".into(),
+                FloatVec::from_f64_slice(&wave(len(2), 1.1), Precision::Half),
+            );
+            bufs.insert("d".into(), FloatVec::zeros(len(3), Precision::Double));
+            let launch = Launch::two_d(w, rows)
+                .arg_int("w", w as i64)
+                .arg_int("k", 5)
+                .arg_int("s", 3)
+                .arg_int("g", 2);
+            assert_eq!(compiled.plan(&bufs, &launch, 1).lockstep(), w == 70);
+            assert_equiv_bitwise(&k, &bufs, &launch);
+            let mut scratch = VmScratch::new();
+            let got = compiled.run_with_scratch(&mut bufs.clone(), &launch, &mut scratch);
+            assert_eq!(got.err(), want(w), "{w}-wide rows");
+            tallies.push((scratch.uniform_ops(), scratch.slice_accesses()));
+        }
+        tallies
+    }
+
+    /// Both widths' tallies: none item by item, some in lock step.
+    fn assert_engaged(tallies: &[(u64, u64)]) {
+        assert_eq!(tallies[0], (0, 0), "8-wide rows run item by item");
+        assert!(tallies[1].0 > 0 && tallies[1].1 > 0, "{tallies:?}");
+    }
+
+    fn oob(buf: &str, index: usize, len: usize) -> Option<ExecError> {
+        Some(ExecError::OutOfBounds {
+            buf: buf.to_owned(),
+            index: index as i64,
+            len,
+        })
+    }
+
+    #[test]
+    fn a_uniform_load_out_of_bounds_fails_like_the_interpreter() {
+        // The last row reads `x[2*5 + 1]`, one past the end, in every lane,
+        // after each lane stored `d`: a block loads it once and fails.
+        let tallies = check_shaped(3, [1, 0, 0, 0], |_| oob("x", 11, 11));
+        assert_engaged(&tallies);
+    }
+
+    #[test]
+    fn a_consecutive_load_whose_last_active_lane_leaves_the_buffer_fails_like_the_interpreter() {
+        // `y` ends one short of the last row's last active lane (`j = w -
+        // 3`, the two after it retired): the span check of the block that
+        // holds that lane fails, and the replay fails at that item.
+        let tallies = check_shaped(3, [0, 3, 0, 0], |w| oob("y", 2 * w + w - 3 + 3, 3 * w));
+        assert_engaged(&tallies);
+    }
+
+    #[test]
+    fn a_consecutive_store_whose_last_active_lane_leaves_the_buffer_fails_like_the_interpreter() {
+        // `d` ends at the last row's last active lane, which its first
+        // store writes past the end of.
+        let tallies = check_shaped(3, [0, 0, 0, 3], |w| oob("d", 3 * w - 3, 3 * w - 3));
+        assert_engaged(&tallies);
+    }
+
+    #[test]
+    fn consecutive_accesses_read_and_write_a_carved_window() {
+        // At 8 threads 16 rows split into chunks of rows, so each chunk
+        // reads and writes its carved windows of `c` and `d`, which start
+        // past element 0, by slices.
+        let tallies = check_shaped(16, [0, 0, 0, 0], |_| None);
+        assert_engaged(&tallies);
+        let k = shaped_kernel();
+        let compiled = compile_kernel(&k).unwrap();
+        let mut bufs = BufferMap::new();
+        bufs.insert("x".into(), FloatVec::zeros(5 * 15 + 2, Precision::Double));
+        bufs.insert("y".into(), FloatVec::zeros(16 * 70 + 3, Precision::Single));
+        bufs.insert("c".into(), FloatVec::zeros(16 * 70, Precision::Half));
+        bufs.insert("d".into(), FloatVec::zeros(16 * 70, Precision::Double));
+        let launch = Launch::two_d(70, 16)
+            .arg_int("w", 70)
+            .arg_int("k", 5)
+            .arg_int("s", 3)
+            .arg_int("g", 2);
+        let plan = compiled.plan(&bufs, &launch, 8);
+        assert!(plan.lockstep() && plan.chunks() == 8);
+        let mut scratch = VmScratch::new();
+        compiled
+            .run_parallel(&mut bufs, &launch, &mut scratch, 8)
+            .unwrap();
+        assert!(scratch.slice_accesses() > 0);
+    }
+
+    #[test]
+    fn a_kernel_that_assigns_a_parameter_runs_lane_by_lane() {
+        // The type checker refuses `n = n + gid0`, but the VM compiles it,
+        // and `n`'s register carries each lane's value into the next
+        // block: `n * 2`, uniform in the first block, is not in the next.
+        let k = kernel("pa")
+            .buffer("c", Precision::Double, Access::Write)
+            .int_param("n")
+            .body(vec![
+                let_("m", var("n") * int(2)),
+                store("c", global_id(0), var("m")),
+                assign("n", var("n") + global_id(0)),
+            ]);
+        assert!(check_kernel(&k).is_err());
+        let compiled = compile_kernel(&k).unwrap();
+        assert!(compiled.runs.iter().all(|r| *r == Run::Lanes));
+        let mut bufs = BufferMap::new();
+        bufs.insert("c".into(), FloatVec::zeros(70, Precision::Double));
+        let launch = Launch::one_d(70).arg_int("n", 1);
+        assert!(compiled.plan(&bufs, &launch, 1).lockstep());
+        let mut scratch = VmScratch::new();
+        compiled
+            .run_with_scratch(&mut bufs, &launch, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.uniform_ops(), 0);
     }
 
     /// `mm` with its own trip count: `c[i*n + j] = Σ a[i*m + kk]·b[kk*n + j]`

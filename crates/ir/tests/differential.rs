@@ -20,6 +20,14 @@
 //! buffer cut short, at the first trip or partway through, and there
 //! every engine must fail with the interpreter's error and leave its
 //! partial writes. The scratch's tallies count both.
+//! Some generate what the VM's lane-shape rule must refuse: a local that
+//! a branch on gid0 assigns, then used as a load or store index, and a
+//! loop whose trip count depends on gid0, its counter-derived index read
+//! inside and a local it assigns read after it; and some make consecutive
+//! accesses in blocks whose lanes retire or wait at another branch arm.
+//! The scratch's tallies count the ops a lock-step block ran once and the
+//! loads and stores it moved as slices, and debug builds check the shapes
+//! behind both before each one.
 //! The proof's verdict and the verifier's errors must also survive a
 //! random retyping of every kernel's buffers and a random in-kernel
 //! compute map, since compiled precision variants share their kernel's
@@ -284,6 +292,22 @@ enum Shape {
         held: bool,
         cut: Option<Cut>,
     },
+    /// A local `u = i*w + b0`, one value along a row, to which a branch on
+    /// gid0 adds `j` in the first lanes; then `c[idx] = x[u]*0.5 + v`, or
+    /// with `store`, `c[u] = v`. Lanes that meet again after the branch
+    /// hold other values in `u`, so no block may read it once.
+    BranchLocal { store: bool },
+    /// A loop over `k` from `0` (a uniform counter), or from `j` (a
+    /// consecutive one), making `min(j, 3) + 1` trips, so the first lanes
+    /// of a row leave it early. Each trip reads `x[i*w + k]` into `p` and
+    /// sets `q = k`, both locals declared before it; then
+    /// `c[idx] = p + x[i*w + q] + v`. Lanes still looping share each trip,
+    /// but those that left early hold other values in `p` and `q`.
+    Ragged { from_j: bool },
+    /// Consecutive accesses: `c[at] = c[at]*0.5 + x[at + 1] + v` with
+    /// `at = j + i*w + b0`, for the lanes with `j >= lo`. The others
+    /// retire, or with `split`, store `c[at] = v2` in an `else` after them.
+    Consecutive { lo: i64, split: bool },
 }
 
 /// A [`Shape::Dot`] operand buffer cut to `eighths`/8 of the elements its
@@ -404,7 +428,10 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         2 => (1i64..4).prop_map(|trips| Shape::Carried { trips }),
         2 => Just(Shape::DataTrips),
         1 => Just(Shape::Rounded),
-        6 => arb_dot(),
+        9 => arb_dot(),
+        2 => any::<bool>().prop_map(|store| Shape::BranchLocal { store }),
+        2 => any::<bool>().prop_map(|from_j| Shape::Ragged { from_j }),
+        2 => (0i64..4, any::<bool>()).prop_map(|(lo, split)| Shape::Consecutive { lo, split }),
     ]
 }
 
@@ -476,7 +503,8 @@ impl Affine {
 
     /// Elements a [`Shape::Dot`] operand buffer needs for an `nx × ny`
     /// launch: room for every form of index at up to 5 trips, or at a
-    /// long loop's `t`, which `k*k` may pass.
+    /// long loop's `t`, which `k*k` may pass. The `x` buffer of the
+    /// other shapes that read one gets as many, more than `i*w + j + 4`.
     fn dot_len(&self, [nx, ny]: [usize; 2]) -> usize {
         let t = self.trips();
         let square = if t > 5 { t } else { 0 };
@@ -596,6 +624,53 @@ fn affine_stmts(aff: &Affine, pc: Precision, vals: Values) -> Vec<Stmt> {
             out.push(store("c", idx(), sum));
             out
         }
+        Shape::BranchLocal { store: at_u } => {
+            let u = || var("u");
+            vec![
+                let_("u", var("i") * var("w") + int(aff.b0)),
+                if_(
+                    lt(var("j"), var("n") + int(3)),
+                    vec![assign("u", u() + var("j"))],
+                ),
+                if at_u {
+                    store("c", u(), v)
+                } else {
+                    store("c", idx(), load("x", u()) * flit(0.5) + v)
+                },
+            ]
+        }
+        Shape::Ragged { from_j } => {
+            let lo = || if from_j { var("j") } else { int(0) };
+            let row = || var("i") * var("w");
+            vec![
+                let_ty("p", pc, flit(0.5)),
+                let_("q", int(0)),
+                for_(
+                    "k",
+                    lo(),
+                    lo() + min2(var("j"), int(3)) + int(1),
+                    vec![
+                        assign("p", var("p") * flit(0.5) + load("x", row() + var("k"))),
+                        assign("q", var("k")),
+                    ],
+                ),
+                store("c", idx(), var("p") + load("x", row() + var("q")) + v),
+            ]
+        }
+        Shape::Consecutive { lo, split } => {
+            let at = || var("j") + var("i") * var("w") + int(aff.b0);
+            let step = vec![store(
+                "c",
+                at(),
+                load("c", at()) * flit(0.5) + load("x", at() + int(1)) + v,
+            )];
+            let guard = cmp(CmpOp::Ge, var("j"), int(lo));
+            if split {
+                vec![if_else(guard, step, vec![store("c", at(), v2)])]
+            } else {
+                vec![if_(guard, step)]
+            }
+        }
     }
 }
 
@@ -700,10 +775,18 @@ fn arb_affine_case() -> impl Strategy<Value = Case> {
                     .buffer("a", pa, Access::Read)
                     .buffer("b", pb, Access::Read)
                     .buffer("c", pc, Access::ReadWrite);
-                if let Shape::Dot { x, y, .. } = aff.shape {
-                    k = k
-                        .buffer("x", x.0, Access::Read)
-                        .buffer("y", y.0, Access::Read);
+                match aff.shape {
+                    Shape::Dot { x, y, .. } => {
+                        k = k
+                            .buffer("x", x.0, Access::Read)
+                            .buffer("y", y.0, Access::Read);
+                    }
+                    Shape::BranchLocal { .. }
+                    | Shape::Ragged { .. }
+                    | Shape::Consecutive { .. } => {
+                        k = k.buffer("x", pb, Access::Read);
+                    }
+                    _ => {}
                 }
                 Case {
                     kernel: k
@@ -783,6 +866,9 @@ impl Case {
                 let ys = wave(cut_to(cut, y, true), f64::cos, 0.53);
                 m.insert("x".into(), FloatVec::from_f64_slice(&xs, x.0));
                 m.insert("y".into(), FloatVec::from_f64_slice(&ys, y.0));
+            } else if let Some(p) = self.kernel.buffer_elem("x") {
+                let xs = wave(aff.dot_len(self.global), f64::sin, 0.29);
+                m.insert("x".into(), FloatVec::from_f64_slice(&xs, p));
             }
         }
         m
@@ -820,10 +906,14 @@ struct Engaged {
     /// A fused dot-product loop refused before its first trip, its index
     /// progression leaving an operand buffer.
     dot_fault: bool,
+    /// An op run once for a group of lock-step lanes.
+    uniform: bool,
+    /// A load or store moving a slice for a group of lock-step lanes.
+    slice: bool,
 }
 
-/// How far a case moved the scratch's dot-loop tallies.
-struct Tallies([u64; 3]);
+/// How far a case moved the scratch's tallies.
+struct Tallies([u64; 5]);
 
 impl Tallies {
     fn of(scratch: &VmScratch) -> Tallies {
@@ -831,18 +921,22 @@ impl Tallies {
             scratch.lockstep_dot_loops(),
             scratch.long_dot_loops(),
             scratch.dot_loop_faults(),
+            scratch.uniform_ops(),
+            scratch.slice_accesses(),
         ])
     }
 
     /// What ran since `self`, and what `plan` decides at 8 threads.
     fn engaged(&self, scratch: &VmScratch, plan: &LaunchPlan) -> Engaged {
-        let Tallies([dot, long, faults]) = Tallies::of(scratch);
+        let Tallies([dot, long, faults, uniform, slice]) = Tallies::of(scratch);
         Engaged {
             lockstep: plan.lockstep(),
             chunked: plan.chunks() > 1,
             lockstep_dot: dot > self.0[0],
             long_dot: long > self.0[1],
             dot_fault: faults > self.0[2],
+            uniform: uniform > self.0[3],
+            slice: slice > self.0[4],
         }
     }
 }
@@ -1218,6 +1312,7 @@ fn engines_and_analysis_agree_on_random_kernels() {
     let mut scratch = VmScratch::new();
     let (mut lockstep, mut chunked, mut dot) = (0usize, 0usize, 0usize);
     let (mut long, mut faults) = (0usize, 0usize);
+    let (mut uniform, mut slice) = (0usize, 0usize);
     let mut accepted = 0usize;
     for case_no in 0..CASES {
         let case = strategy.generate(&mut rng);
@@ -1235,13 +1330,16 @@ fn engines_and_analysis_agree_on_random_kernels() {
         dot += usize::from(ran.lockstep_dot);
         long += usize::from(ran.long_dot);
         faults += usize::from(ran.dot_fault);
+        uniform += usize::from(ran.uniform);
+        slice += usize::from(ran.slice);
         let (defect, m) = mutant(&case.kernel, &mut mutants);
         accepted += usize::from(check_mutant(&case, defect, &m, &mut scratch));
     }
     let ran = format!(
         "lock step ran on {lockstep}, chunks on {chunked}, lock-step dot loops on {dot}, \
-         dot loops of several strips on {long} and dot loops leaving a buffer on {faults} \
-         of {CASES} cases; the checker accepted {accepted} of their mutants"
+         dot loops of several strips on {long}, dot loops leaving a buffer on {faults}, \
+         uniform ops on {uniform} and slice accesses on {slice} of {CASES} cases; the \
+         checker accepted {accepted} of their mutants"
     );
     println!("{ran}");
     // Every non-sequential executor must really run on a good share of
@@ -1258,6 +1356,9 @@ fn engines_and_analysis_agree_on_random_kernels() {
     // So must a work-item's dot loop of several strips, and the refusal
     // of a dot loop whose reads leave a buffer.
     assert!(long * 128 >= CASES && faults * 64 >= CASES, "{ran}");
+    // So must ops that a block runs once and loads and stores that move
+    // a slice.
+    assert!(uniform * 4 >= CASES && slice * 32 >= CASES, "{ran}");
 }
 
 /// Names the failing case when a check panics (the run is

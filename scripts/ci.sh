@@ -69,6 +69,12 @@ for seed in 1 2 3; do
         --test static_analysis_properties --test trial_engine_equivalence \
         -p prescaler-ir --test differential
 done
+# The differential fuzzer once more in the release profile, the way tunes
+# run the VM: a test build asserts the lock-step lane shapes before each
+# uniform op and each slice access (the debug oracle) and traps integer
+# overflow, and a release build does neither, so only this run fuzzes the
+# fast paths exactly as they ship.
+cargo test --release --offline -p prescaler-ir --test differential
 
 # Crash-resume smoke: kill one tune at a seeded boundary with a seeded
 # tear, resume it, and byte-compare the resumed Tuned snapshot against

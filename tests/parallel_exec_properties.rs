@@ -586,3 +586,127 @@ fn polybench_kernels_keep_their_superinstructions() {
         .collect();
     assert_eq!(seen, want);
 }
+
+/// How each shipped polybench kernel's ops run in a lock-step block, at
+/// its declared precisions and with every buffer at binary16: the ops
+/// that run once, all of whose sources are uniform across a row's lanes,
+/// then the loads and the stores whose index is consecutive, which move a
+/// slice.
+#[rustfmt::skip]
+const SHAPES: [(&str, [usize; 3], [usize; 3]); 27] = [
+    ("conv2d", [20, 9, 1], [20, 9, 1]),
+    ("mm2_k1", [6, 0, 1], [6, 0, 1]),
+    ("mm2_k2", [6, 0, 1], [6, 0, 1]),
+    ("conv3d", [56, 11, 1], [56, 11, 1]),
+    ("mm3_k1", [6, 0, 1], [6, 0, 1]),
+    ("mm3_k2", [6, 0, 1], [6, 0, 1]),
+    ("mm3_k3", [6, 0, 1], [6, 0, 1]),
+    ("atax_k1", [5, 0, 1], [5, 0, 1]),
+    ("atax_k2", [5, 1, 1], [5, 1, 1]),
+    ("bicg_k1", [5, 0, 1], [5, 0, 1]),
+    ("bicg_k2", [5, 1, 1], [5, 1, 1]),
+    ("corr_mean", [4, 1, 1], [4, 1, 1]),
+    ("corr_std", [4, 2, 1], [4, 2, 1]),
+    ("corr_reduce", [5, 3, 1], [5, 3, 1]),
+    ("corr_compute", [4, 0, 0], [4, 0, 0]),
+    ("covar_mean", [4, 1, 1], [4, 1, 1]),
+    ("covar_reduce", [4, 2, 1], [4, 2, 1]),
+    ("covar_compute", [2, 0, 0], [2, 0, 0]),
+    ("fdtd_ey", [8, 3, 2], [8, 3, 2]),
+    ("fdtd_ex", [7, 3, 1], [7, 3, 1]),
+    ("fdtd_hz", [8, 5, 1], [8, 5, 1]),
+    ("gemm", [6, 1, 1], [6, 1, 1]),
+    ("gesummv", [7, 0, 2], [7, 0, 2]),
+    ("mvt_k1", [4, 1, 1], [4, 1, 1]),
+    ("mvt_k2", [4, 2, 1], [4, 2, 1]),
+    ("syr2k", [9, 1, 1], [9, 1, 1]),
+    ("syrk", [6, 1, 1], [6, 1, 1]),
+];
+
+/// The top-level items of a `Debug` list body, split at the commas
+/// outside any brackets.
+fn debug_items(list: &str) -> Vec<&str> {
+    let (mut items, mut depth, mut from) = (Vec::new(), 0i32, 0);
+    for (i, ch) in list.char_indices() {
+        match ch {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' => depth -= 1,
+            ',' if depth == 0 => {
+                items.push(list[from..i].trim());
+                from = i + 1;
+            }
+            _ => {}
+        }
+    }
+    items.push(list[from..].trim());
+    items
+}
+
+/// The `Debug` list body of field `field` of `shown`.
+fn debug_field<'a>(shown: &'a str, field: &str) -> &'a str {
+    let from = shown
+        .find(&format!("{field}: ["))
+        .expect("the field is shown")
+        + field.len()
+        + 3;
+    let mut depth = 1;
+    for (i, ch) in shown[from..].char_indices() {
+        match ch {
+            '[' => depth += 1,
+            ']' if depth == 1 => return &shown[from..from + i],
+            ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("unterminated `{field}`")
+}
+
+/// Ops that run once, slice loads and slice stores of `compiled`, read
+/// from its `Debug` form: its ops and how a lock-step block runs each.
+fn lane_shapes(compiled: &prescaler_ir::vm::CompiledKernel) -> [usize; 3] {
+    let shown = format!("{compiled:?}");
+    let ops = debug_items(debug_field(&shown, "ops"));
+    let runs = debug_items(debug_field(&shown, "runs"));
+    assert_eq!(ops.len(), runs.len());
+    let mut shapes = [0; 3];
+    for (op, run) in ops.iter().zip(&runs) {
+        if run.starts_with("Once") {
+            shapes[0] += 1;
+        } else if *run == "Slice" {
+            shapes[if op.starts_with("Store") { 2 } else { 1 }] += 1;
+        }
+    }
+    shapes
+}
+
+/// Every shipped polybench kernel keeps its lock-step fast paths: the ops
+/// that run once and the loads and stores that move a slice, at the
+/// declared precisions and with every buffer at binary16, are pinned.
+#[test]
+fn polybench_kernels_keep_their_lane_shapes() {
+    use prescaler_ir::analysis::parallel_safety;
+    use prescaler_ir::vm::compile_with_safety;
+    use prescaler_ir::Param;
+    use std::sync::Arc;
+
+    let mut seen = Vec::new();
+    for &kind in &BenchKind::ALL {
+        for k in &PolyApp::tiny(kind).program().kernels {
+            let declared = compile_kernel(k).expect("polybench kernels compile");
+            let buffers = k
+                .params
+                .iter()
+                .filter(|p| matches!(p, Param::Buffer { .. }))
+                .count();
+            let all_half = vec![Precision::Half; buffers];
+            let half = compile_with_safety(k, &all_half, Arc::new(parallel_safety(k)))
+                .expect("polybench kernels compile");
+            seen.push((k.name.clone(), lane_shapes(&declared), lane_shapes(&half)));
+        }
+    }
+    let want: Vec<_> = SHAPES
+        .iter()
+        .map(|&(n, d, h)| (n.to_owned(), d, h))
+        .collect();
+    assert_eq!(seen, want);
+}
